@@ -23,6 +23,7 @@ import (
 	"wwt/internal/core"
 	"wwt/internal/corpusgen"
 	"wwt/internal/extract"
+	"wwt/internal/index"
 	"wwt/internal/inference"
 	"wwt/internal/text"
 	"wwt/internal/workload"
@@ -284,7 +285,7 @@ func queryTokens(w *benchWorld) [][]string {
 func BenchmarkSearchDense(b *testing.B) {
 	w := getWorld(b)
 	toks := queryTokens(w)
-	s := w.engine.Searcher()
+	s := index.NewSearcher(w.engine.Index)
 	k := w.engine.Opts.ProbeK
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -175,18 +175,24 @@ func ExperimentFig6(w io.Writer, r *Runner) {
 	groups := Groups(hard)
 	fmt.Fprintf(w, "%-6s %-3s %-10s %-10s\n", "group", "n", "Basic", "WWT")
 	for gi, g := range groups {
-		var basicErr, wwtErr float64
-		for _, res := range g {
-			truthRows := answerRows(res, res.GT.Labeling(res.Tables))
-			basicErr += RowSetError(answerRows(res, res.Labelings[MethodBasic]), truthRows)
-			wwtErr += RowSetError(answerRows(res, res.Labelings[MethodWWT]), truthRows)
-		}
-		n := float64(len(g))
-		if n == 0 {
-			n = 1
-		}
-		fmt.Fprintf(w, "%-6d %-3d %-10.1f %-10.1f\n", gi+1, len(g), basicErr/n, wwtErr/n)
+		fmt.Fprintf(w, "%-6d %-3d %-10.1f %-10.1f\n", gi+1, len(g),
+			groupRowError(g, MethodBasic), groupRowError(g, MethodWWT))
 	}
+}
+
+// groupRowError averages a method's consolidated-answer row error (Fig. 6)
+// over a result set: the answer consolidated under the method's labeling
+// against the one consolidated under the ground-truth labeling.
+func groupRowError(results []*QueryResult, method string) float64 {
+	if len(results) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, res := range results {
+		truthRows := answerRows(res, res.GT.Labeling(res.Tables))
+		sum += RowSetError(answerRows(res, res.Labelings[method]), truthRows)
+	}
+	return sum / float64(len(results))
 }
 
 // answerRows consolidates under a labeling and returns normalized full-row

@@ -69,7 +69,7 @@ func benchSkewedQueries(n int) [][]string {
 	return qs
 }
 
-func benchSkewedSearcher(b *testing.B) *Searcher {
+func benchSkewedSearcher(b *testing.B) *ShardedSearcher {
 	b.Helper()
 	ix, err := Build(benchSkewedTables())
 	if err != nil {
@@ -80,13 +80,13 @@ func benchSkewedSearcher(b *testing.B) *Searcher {
 
 // stripBlocks drops a searcher's block summaries, turning it into the
 // exact v1 probe path (term-level max-score skip only) for baselines.
-func stripBlocks(s *Searcher) {
-	s.sh.blockSize = 0
+func stripBlocks(s *ShardedSearcher) {
+	s.shards[0].blockSize = 0
 	for f := 0; f < int(numFields); f++ {
-		s.sh.blkOff[f] = nil
-		s.sh.blkMax[f] = nil
-		s.sh.blkDoc[f] = nil
-		s.sh.fieldMaxW[f] = nil
+		s.shards[0].blkOff[f] = nil
+		s.shards[0].blkMax[f] = nil
+		s.shards[0].blkDoc[f] = nil
+		s.shards[0].fieldMaxW[f] = nil
 	}
 }
 

@@ -145,8 +145,8 @@ func TestSearcherSearchStats(t *testing.T) {
 	if st.Scanned >= st.Postings {
 		t.Fatalf("skips saved nothing: scanned %d of %d postings", st.Scanned, st.Postings)
 	}
-	if st.ShardsPruned != 0 || st.ShardsProbed != 0 {
-		t.Fatalf("single-shard probe reports shard counters: %+v", st)
+	if st.ShardsPruned != 0 || st.ShardsProbed != 1 {
+		t.Fatalf("single-shard probe: %d shards probed / %d pruned, want 1/0", st.ShardsProbed, st.ShardsPruned)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestBlockMaxEquivalenceQuick(t *testing.T) {
 			return false
 		}
 		s := NewSearcher(ix)
-		s.sh.computeBlocks(1 + r.Intn(5))
+		s.shards[0].computeBlocks(1 + r.Intn(5))
 		q := []string{
 			propWords[r.Intn(len(propWords))],
 			propWords[r.Intn(len(propWords))],

@@ -7,33 +7,43 @@
 //
 // # Ownership and concurrency contracts
 //
-// Index is the mutable, map-based build-time structure and the reference
-// scorer; it must not be mutated once a Searcher has been frozen from it.
-// Searcher is the query-time form: a frozen CSR layout with precomputed
-// (1+ln tf)·boost/√len weights, a pooled dense accumulator with
-// generation-tagged reset, bounded top-k heap selection and the layered
-// probe pruning described below. A Searcher is immutable and safe for
-// concurrent Search calls; TestSearcherEquivalence pins it hit-for-hit
-// identical to Index.Search — keep that invariant when touching either
-// side.
+// Index is the mutable, map-based build-time structure; at query time it
+// serves only as the reference scorer (Index.Search, Index.TermStats,
+// Index.DocSet are the test oracles). It must not be mutated once a
+// searcher has been frozen from it.
 //
-// DocSetCache (and its sharded counterpart ShardedDocSetCache) is a
-// concurrency-safe LRU over DocSet, keyed by the canonicalized token set
-// plus field mask. Cached doc-set slices are shared and read-only: callers
-// only intersect them, never mutate. Store is append-only at build time
-// and read-only afterwards.
+// There is one probe type. ShardedSearcher is the query-time form: a
+// frozen CSR layout with precomputed (1+ln tf)·boost/√len weights, a
+// pooled dense accumulator with generation-tagged reset, bounded top-k
+// heap selection and the layered probe pruning described below.
+// NewSearcher freezes an Index into one heap-resident shard,
+// NewShardedFromSearcher re-partitions a searcher into private copies
+// (what WriteSharded persists), and OpenSharded maps a flat directory.
+// MultiSearcher unions one or more of them as segments over a global doc
+// space; every engine probes through a MultiSearcher — one in-memory
+// segment of one shard, or a live index's mmap'd segments. Searchers are
+// immutable and safe for concurrent Search calls; TestSearcherEquivalence
+// pins every shard count hit-for-hit identical to Index.Search — keep
+// that invariant when touching either side.
+//
+// DocSetCache is a concurrency-safe LRU over DocSet, keyed by the
+// canonicalized token set plus field mask and split into one partition
+// per index shard (TestDocSetCache). Cached doc-set slices are shared and
+// read-only: callers only intersect them, never mutate. Store is
+// append-only at build time and read-only afterwards.
 //
 // # The canonical term order and bit-identity
 //
-// All three scorers — Index.Search, Searcher and ShardedSearcher —
-// accumulate per-document float64 scores in one canonical term order:
+// Every scorer — Index.Search, ShardedSearcher and MultiSearcher —
+// accumulates per-document float64 scores in one canonical term order:
 // document frequency ascending, token ascending on ties. Identical
 // operation order makes the sums — and therefore hits, scores and
-// tie-breaks — bit-identical across every path and shard count
-// (TestSearcherEquivalence, TestShardedSearcherEquivalence). Rarest-first
-// is not cosmetic: the selective terms establish the top-k score floor
-// before the long common lists are walked, which is what arms the block
-// and shard pruning below. Keep the order in sync in all three scorers.
+// tie-breaks — bit-identical across every path, shard count and segment
+// count (TestSearcherEquivalence, TestMultiSearcherEquivalence).
+// Rarest-first is not cosmetic: the selective terms establish the top-k
+// score floor before the long common lists are walked, which is what arms
+// the block and shard pruning below. Keep the order in sync in every
+// scorer.
 //
 // # The probe layer: three levels of exact pruning
 //
@@ -149,8 +159,8 @@
 // parallel — or, when the pruning pre-pass is armed, resolves serially
 // and defers prefaulting until the prune decision — then gathers by
 // accumulating every resolved term in the canonical order above.
-// TestShardedSearcherEquivalence pins bit-identity for N ∈ {1, 2, 3, 8};
-// keep that invariant when touching either search loop.
+// TestSearcherEquivalence pins bit-identity for N ∈ {1, 2, 3, 8}; keep
+// that invariant when touching either search loop.
 //
 // # Segments and the manifest: the live-index lifecycle
 //

@@ -8,9 +8,8 @@ import (
 	"wwt/internal/lru"
 )
 
-// DocSetSource is anything that can compute sorted doc sets — both the
-// single-shard Searcher and the ShardedSearcher qualify, as does the
-// map-based Index.
+// DocSetSource is anything that can compute sorted doc sets — the
+// searchers qualify, as does the map-based Index.
 type DocSetSource interface {
 	DocSet(tokens []string, fields ...Field) []int32
 }
@@ -22,151 +21,111 @@ type DocSetSource interface {
 // sets turns those repeats into a map hit. Cached slices are shared —
 // callers must treat them as read-only (every in-repo consumer only
 // intersects them).
+//
+// The cache is split into independent LRU partitions with keys routed by
+// hash. An engine sizes it with one partition per index shard, which
+// keeps lock contention per shard rather than global and gives per-shard
+// hit-rate observability (surfaced through Engine.CacheStats → /metrics);
+// a one-partition cache is a single LRU.
 type DocSetCache struct {
-	src DocSetSource
-	c   *lru.Cache[string, []int32]
+	src   DocSetSource
+	parts []*lru.Cache[string, []int32]
 }
 
 // DefaultDocSetCacheSize bounds the cache when NewDocSetCache is given a
 // non-positive capacity.
 const DefaultDocSetCacheSize = 8192
 
-// NewDocSetCache wraps a doc-set source with an LRU of at most capacity
-// entries.
-func NewDocSetCache(src DocSetSource, capacity int) *DocSetCache {
+// NewDocSetCache wraps src with nParts independent LRUs sharing capacity
+// entries (DefaultDocSetCacheSize when capacity is non-positive). Every
+// partition holds at least a handful of entries, or the whole capacity
+// when that is smaller, so one partition is exactly a capacity-bounded
+// LRU.
+func NewDocSetCache(src DocSetSource, nParts, capacity int) *DocSetCache {
+	if nParts < 1 {
+		nParts = 1
+	}
 	if capacity <= 0 {
 		capacity = DefaultDocSetCacheSize
 	}
-	return &DocSetCache{src: src, c: lru.New[string, []int32](capacity)}
+	per := max(capacity/nParts, min(capacity, 16))
+	c := &DocSetCache{src: src, parts: make([]*lru.Cache[string, []int32], nParts)}
+	for i := range c.parts {
+		c.parts[i] = lru.New[string, []int32](per)
+	}
+	return c
 }
 
 // DocSet returns src.DocSet(tokens, fields...), memoized on the
-// deduplicated sorted token set plus the field mask. The intersection runs
-// outside the cache lock (it can be expensive; DocSet is a pure function
-// of the key, so racing duplicate computes are harmless).
+// deduplicated sorted token set plus the field mask in the key's home
+// partition. The intersection runs outside the cache lock (it can be
+// expensive; DocSet is a pure function of the key, so racing duplicate
+// computes are harmless).
 func (c *DocSetCache) DocSet(tokens []string, fields ...Field) []int32 {
 	key := docSetKey(tokens, fields)
-	if v, ok := c.c.Cached(key); ok { // closure-free: warm hits allocate only the key
+	p := c.parts[shardOfToken(key, len(c.parts))]
+	if v, ok := p.Cached(key); ok { // closure-free: warm hits allocate only the key
 		return v
 	}
 	// Copy fields so the variadic slice doesn't escape through the closure:
 	// capturing it directly would heap-allocate it at every call site,
 	// including warm hits that never run compute.
 	fs := append([]Field(nil), fields...)
-	return c.c.Get(key, func() []int32 { return c.src.DocSet(tokens, fs...) })
+	return p.Get(key, func() []int32 { return c.src.DocSet(tokens, fs...) })
 }
 
 // AdoptFrom migrates old's entries into c (a fresh cache of a new index
 // generation) and then evicts exactly the ones the generation change
 // staled — stale receives each key's token set and reports whether any of
-// its tokens could have gained members. Entries are re-inserted in LRU
-// order, preserving recency; surviving warm entries keep serving hits
-// across the swap. Valid only for append-only generation changes (doc
-// numbers of prior documents unchanged): a merge remaps doc numbers, so
-// merge swaps start cold instead. Returns entries adopted and evicted.
+// its tokens could have gained members. Entries are re-routed by c's
+// partition count (generations can differ in shard layout) and re-inserted
+// in LRU order, preserving recency; surviving warm entries keep serving
+// hits across the swap. Valid only for append-only generation changes
+// (doc numbers of prior documents unchanged): a merge remaps doc numbers,
+// so merge swaps start cold instead. Returns entries adopted and evicted.
 func (c *DocSetCache) AdoptFrom(old *DocSetCache, stale func(tokens []string) bool) (adopted, evicted int) {
-	old.c.Each(func(k string, v []int32) {
-		c.c.Put(k, v)
-		adopted++
-	})
-	evicted = c.c.EvictIf(func(k string) bool { return stale(docSetKeyTokens(k)) })
-	return adopted, evicted
-}
-
-// Stats reports cumulative hit/miss counts.
-func (c *DocSetCache) Stats() (hits, misses uint64) { return c.c.Stats() }
-
-// Len returns the number of cached entries.
-func (c *DocSetCache) Len() int { return c.c.Len() }
-
-// CacheCounters is one cache partition's cumulative hit/miss counters.
-type CacheCounters struct {
-	Hits, Misses uint64
-}
-
-// ShardedDocSetCache is the sharded counterpart of DocSetCache: one
-// independent LRU per index shard, with keys routed by hash. Aligning the
-// cache partitions with the index shards keeps lock contention per shard
-// rather than global and gives per-shard hit-rate observability (surfaced
-// through Engine.CacheStats → /metrics).
-type ShardedDocSetCache struct {
-	src    DocSetSource
-	shards []*lru.Cache[string, []int32]
-}
-
-// NewShardedDocSetCache wraps src with nShards independent LRUs holding at
-// most capacity entries in total (DefaultDocSetCacheSize when capacity is
-// non-positive; every shard gets at least a handful of entries).
-func NewShardedDocSetCache(src DocSetSource, nShards, capacity int) *ShardedDocSetCache {
-	if nShards < 1 {
-		nShards = 1
-	}
-	if capacity <= 0 {
-		capacity = DefaultDocSetCacheSize
-	}
-	per := capacity / nShards
-	if per < 16 {
-		per = 16
-	}
-	c := &ShardedDocSetCache{src: src, shards: make([]*lru.Cache[string, []int32], nShards)}
-	for i := range c.shards {
-		c.shards[i] = lru.New[string, []int32](per)
-	}
-	return c
-}
-
-// DocSet is DocSetCache.DocSet with the key routed to its home shard.
-func (c *ShardedDocSetCache) DocSet(tokens []string, fields ...Field) []int32 {
-	key := docSetKey(tokens, fields)
-	sh := c.shards[shardOfToken(key, len(c.shards))]
-	if v, ok := sh.Cached(key); ok { // closure-free: warm hits allocate only the key
-		return v
-	}
-	fs := append([]Field(nil), fields...) // see DocSetCache.DocSet
-	return sh.Get(key, func() []int32 { return c.src.DocSet(tokens, fs...) })
-}
-
-// AdoptFrom is DocSetCache.AdoptFrom for the sharded cache: old's entries
-// are re-routed by the new cache's shard count (generations can differ in
-// shard layout), then the staled keys are evicted in place. Same
-// append-only-generations contract. Returns entries adopted and evicted.
-func (c *ShardedDocSetCache) AdoptFrom(old *ShardedDocSetCache, stale func(tokens []string) bool) (adopted, evicted int) {
-	for _, osh := range old.shards {
-		osh.Each(func(k string, v []int32) {
-			c.shards[shardOfToken(k, len(c.shards))].Put(k, v)
+	for _, op := range old.parts {
+		op.Each(func(k string, v []int32) {
+			c.parts[shardOfToken(k, len(c.parts))].Put(k, v)
 			adopted++
 		})
 	}
-	for _, sh := range c.shards {
-		evicted += sh.EvictIf(func(k string) bool { return stale(docSetKeyTokens(k)) })
+	for _, p := range c.parts {
+		evicted += p.EvictIf(func(k string) bool { return stale(docSetKeyTokens(k)) })
 	}
 	return adopted, evicted
 }
 
-// Stats reports cumulative hit/miss counts summed over all shards.
-func (c *ShardedDocSetCache) Stats() (hits, misses uint64) {
-	for _, sh := range c.shards {
-		h, m := sh.Stats()
+// Stats reports cumulative hit/miss counts summed over all partitions.
+func (c *DocSetCache) Stats() (hits, misses uint64) {
+	for _, p := range c.parts {
+		h, m := p.Stats()
 		hits += h
 		misses += m
 	}
 	return hits, misses
 }
 
-// ShardStats reports each shard's cumulative counters, in shard order.
-func (c *ShardedDocSetCache) ShardStats() []CacheCounters {
-	out := make([]CacheCounters, len(c.shards))
-	for i, sh := range c.shards {
-		out[i].Hits, out[i].Misses = sh.Stats()
+// CacheCounters is one cache partition's cumulative hit/miss counters.
+type CacheCounters struct {
+	Hits, Misses uint64
+}
+
+// PartitionStats reports each partition's cumulative counters, in
+// partition order.
+func (c *DocSetCache) PartitionStats() []CacheCounters {
+	out := make([]CacheCounters, len(c.parts))
+	for i, p := range c.parts {
+		out[i].Hits, out[i].Misses = p.Stats()
 	}
 	return out
 }
 
-// Len returns the number of cached entries across all shards.
-func (c *ShardedDocSetCache) Len() int {
+// Len returns the number of cached entries across all partitions.
+func (c *DocSetCache) Len() int {
 	n := 0
-	for _, sh := range c.shards {
-		n += sh.Len()
+	for _, p := range c.parts {
+		n += p.Len()
 	}
 	return n
 }

@@ -1,85 +1,72 @@
 package index
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
 
 // TestDocSetCacheAdoptFrom pins the generation-migration contract: a new
-// generation's cache adopts the old generation's entries and evicts
-// exactly the keys the stale predicate marks — warm live entries keep
+// generation's cache adopts the old generation's entries — re-routed by
+// its own partition count when the shard layout changes — and evicts
+// exactly the keys the stale predicate marks. Warm live entries keep
 // serving hits across the swap instead of starting cold.
-func TestDocSetCacheAdoptFrom(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 21, 30)
-	s := NewSearcher(ix)
+func TestDocSetCacheAdoptFrom(t *testing.T) { testDocSetCacheAdoptFrom(t, partLayout{1, 1}) }
 
-	old := NewDocSetCache(s, 64)
-	warm := [][]string{{"alpha", "beta"}, {"gamma"}, {"delta", "beta"}}
-	for _, toks := range warm {
-		old.DocSet(toks)
-	}
-	if old.Len() != len(warm) {
-		t.Fatalf("old cache len %d, want %d", old.Len(), len(warm))
-	}
-
-	next := NewDocSetCache(s, 64)
-	adopted, evicted := next.AdoptFrom(old, func(tokens []string) bool {
-		for _, tok := range tokens {
-			if tok == "beta" {
-				return true
-			}
-		}
-		return false
-	})
-	if adopted != 3 || evicted != 2 {
-		t.Fatalf("AdoptFrom = (%d adopted, %d evicted), want (3, 2)", adopted, evicted)
-	}
-	if next.Len() != 1 {
-		t.Fatalf("post-adopt len %d, want 1", next.Len())
-	}
-	// The surviving entry is warm: the next lookup is a hit with the old
-	// generation's value.
-	want := old.DocSet([]string{"gamma"})
-	got := next.DocSet([]string{"gamma"})
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("surviving entry = %v, want %v", got, want)
-	}
-	if hits, _ := next.Stats(); hits != 1 {
-		t.Fatalf("surviving entry missed (hits=%d)", hits)
-	}
-	// A staled key recomputes (miss), it was not served stale.
-	next.DocSet([]string{"alpha", "beta"})
-	if _, misses := next.Stats(); misses != 1 {
-		t.Fatalf("staled entry did not recompute (misses=%d)", misses)
-	}
+// TestShardedDocSetCacheAdoptFrom replays the contract across a change of
+// partition count in both directions.
+func TestShardedDocSetCacheAdoptFrom(t *testing.T) {
+	testDocSetCacheAdoptFrom(t, partLayout{2, 5}, partLayout{5, 2})
 }
 
-// TestShardedDocSetCacheAdoptFrom: entries migrate across different shard
-// layouts (re-routed by the new cache's shard count) with the same
-// staleness eviction.
-func TestShardedDocSetCacheAdoptFrom(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 22, 30)
-	s := NewSearcher(ix)
+type partLayout struct{ oldParts, newParts int }
 
-	old := NewShardedDocSetCache(s, 2, 256)
-	keys := [][]string{{"alpha"}, {"beta"}, {"gamma", "delta"}, {"epsilon", "zeta"}}
-	for _, toks := range keys {
-		old.DocSet(toks)
-	}
-	next := NewShardedDocSetCache(s, 5, 256)
-	adopted, evicted := next.AdoptFrom(old, func(tokens []string) bool {
-		return tokens[0] == "beta"
-	})
-	if adopted != len(keys) || evicted != 1 {
-		t.Fatalf("AdoptFrom = (%d, %d), want (%d, 1)", adopted, evicted, len(keys))
-	}
-	if next.Len() != len(keys)-1 {
-		t.Fatalf("post-adopt len %d, want %d", next.Len(), len(keys)-1)
-	}
-	for _, toks := range [][]string{{"alpha"}, {"gamma", "delta"}, {"epsilon", "zeta"}} {
-		next.DocSet(toks)
-	}
-	if hits, misses := next.Stats(); hits != 3 || misses != 0 {
-		t.Fatalf("surviving entries: %d hits / %d misses, want 3/0", hits, misses)
+func testDocSetCacheAdoptFrom(t *testing.T, layouts ...partLayout) {
+	ix, _ := buildRandCorpus(t, 21, 30)
+	s := NewSearcher(ix)
+	for _, tc := range layouts {
+		t.Run(fmt.Sprintf("parts=%dto%d", tc.oldParts, tc.newParts), func(t *testing.T) {
+			old := NewDocSetCache(s, tc.oldParts, 256)
+			warm := [][]string{{"alpha", "beta"}, {"gamma"}, {"delta", "beta"}, {"epsilon", "zeta"}, {"alpha"}}
+			for _, toks := range warm {
+				old.DocSet(toks)
+			}
+			if old.Len() != len(warm) {
+				t.Fatalf("old cache len %d, want %d", old.Len(), len(warm))
+			}
+
+			next := NewDocSetCache(s, tc.newParts, 256)
+			adopted, evicted := next.AdoptFrom(old, func(tokens []string) bool {
+				for _, tok := range tokens {
+					if tok == "beta" {
+						return true
+					}
+				}
+				return false
+			})
+			if adopted != 5 || evicted != 2 {
+				t.Fatalf("AdoptFrom = (%d adopted, %d evicted), want (5, 2)", adopted, evicted)
+			}
+			if next.Len() != 3 {
+				t.Fatalf("post-adopt len %d, want 3", next.Len())
+			}
+			// The surviving entries are warm: the next lookups hit with the
+			// old generation's values.
+			for _, toks := range [][]string{{"gamma"}, {"epsilon", "zeta"}, {"alpha"}} {
+				want := old.DocSet(toks)
+				got := next.DocSet(toks)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("surviving entry %v = %v, want %v", toks, got, want)
+				}
+			}
+			if hits, misses := next.Stats(); hits != 3 || misses != 0 {
+				t.Fatalf("surviving entries: %d hits / %d misses, want 3/0", hits, misses)
+			}
+			// A staled key recomputes (miss), it was not served stale.
+			next.DocSet([]string{"alpha", "beta"})
+			if _, misses := next.Stats(); misses != 1 {
+				t.Fatalf("staled entry did not recompute (misses=%d)", misses)
+			}
+		})
 	}
 }

@@ -8,7 +8,7 @@ package index
 //     with a clear error instead of a decoder error deep in the stack.
 //
 //   - The flat sharded index (docs.wwt + postings-NNN.wwt) is the serving
-//     form: a versioned, mmap-friendly layout of the frozen Searcher's CSR
+//     form: a versioned, mmap-friendly layout of the frozen searcher's CSR
 //     arrays. Opening it is O(1) page mapping plus header validation — no
 //     decode — with a portable read-into-memory fallback where mmap is
 //     unavailable.

@@ -2,10 +2,10 @@ package index
 
 import "math"
 
-// This file is the single scoring gather shared by Searcher and
-// ShardedSearcher. Both resolve their query terms into termRefs (a shard
-// plus a local term ID), sort them into the canonical lexicographic term
-// order, and hand them to gather, which accumulates per-document float64
+// This file is the single scoring gather every probe runs:
+// ShardedSearcher and MultiSearcher resolve their query terms into
+// termRefs (a shard plus a local term ID), sort them into the canonical
+// term order (df ascending, token ascending), and hand them to gather, which accumulates per-document float64
 // scores in exactly that order — the property the bit-identity tests pin.
 //
 // On top of the PR 1 term-level max-score skip, gather layers three exact
@@ -34,7 +34,7 @@ import "math"
 // max-score skip, absorbing summation-order rounding in the bounds; the
 // winners' scores themselves are always the exact canonical-order sums.
 
-// defaultBlockSize is the posting-block width NewSearcher and the v2 writer
+// DefaultBlockSize is the posting-block width NewSearcher and the v2 writer
 // use unless told otherwise: 128 postings ≈ 1KiB of doc+weight data per
 // block, giving summaries 1/128 the size of the postings they bound.
 const DefaultBlockSize = 128

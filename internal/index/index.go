@@ -144,9 +144,8 @@ func (ix *Index) DocOf(id string) (int32, bool) {
 // IDF returns the smoothed inverse document frequency of a token over the
 // whole corpus (union of fields): log(1 + N/(1+df)).
 // TermStats returns a token's union document frequency and total posting
-// entries across all fields — the map-based equivalent of
-// Searcher.TermStats, for engines that never froze their index. Unknown
-// tokens report ok=false.
+// entries across all fields — the map-based reference for
+// ShardedSearcher.TermStats. Unknown tokens report ok=false.
 func (ix *Index) TermStats(tok string) (df int32, postings int, ok bool) {
 	d, ok := ix.df[tok]
 	if !ok {
@@ -184,7 +183,7 @@ var hitScratch = sync.Pool{New: func() any { s := make([]Hit, 0, 256); return &s
 // and returns the top k hits by score (all hits when k <= 0). tokens must
 // already be analyzed (text.Normalize).
 //
-// This is the reference scorer; the hot path uses the frozen Searcher,
+// This is the reference scorer; the hot path uses the frozen searcher,
 // which must stay hit-for-hit identical (see TestSearcherEquivalence).
 func (ix *Index) Search(tokens []string, k int) []Hit {
 	if len(tokens) == 0 || len(ix.ids) == 0 {
@@ -192,7 +191,7 @@ func (ix *Index) Search(tokens []string, k int) []Hit {
 	}
 	uniq := dedup(tokens)
 	// Accumulate in canonical term order — df ascending, token ascending on
-	// ties — the same order the frozen Searcher uses, so both scorers
+	// ties — the same order the frozen searcher uses, so both scorers
 	// produce bit-identical sums. Rarest-first is not cosmetic: the
 	// selective terms establish the block-max probe's top-k floor before
 	// the long common lists are walked, which is what lets whole blocks of

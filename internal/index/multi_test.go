@@ -59,7 +59,7 @@ func multiVariants(t *testing.T, chunks [][]*wtable.Table, fv int) map[string]*M
 		if err != nil {
 			t.Fatal(err)
 		}
-		searchers[i] = NewShardedFromSearcher(NewSearcher(ix), 1)
+		searchers[i] = NewSearcher(ix)
 	}
 	mm, err := OpenMulti(dirs)
 	if err != nil {

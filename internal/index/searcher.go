@@ -1,38 +1,11 @@
 package index
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 )
-
-// Searcher is a frozen, flat snapshot of an Index built for the online hot
-// path. Postings are laid out CSR-style: for every (term, field) pair a
-// contiguous range over flat doc/weight arrays, with the length-normalized
-// boosted weight (1+ln tf)·boost_f/√len_f(d) precomputed at freeze time so
-// a query probe is a pure gather-multiply-accumulate over idf. Scoring uses
-// a dense accumulator with generation-tagged reset (no per-query map), a
-// bounded top-k heap instead of a full sort, and the layered score-bound
-// pruning in gather.go: the term-level max-score skip, per-block closure
-// from the block-max summaries, candidate freezing, and whole-block skips.
-//
-// The CSR arrays live in a single *shard — the same representation
-// ShardedSearcher partitions by term hash — so both searchers share one
-// gather implementation and stay bit-identical by construction.
-//
-// A Searcher is immutable and safe for concurrent use; per-query scratch
-// state lives in a sync.Pool.
-type Searcher struct {
-	ids     []string
-	numDocs int
-
-	terms map[string]int32 // token -> term ID (lexicographic rank)
-	sh    *shard
-
-	pool sync.Pool // *accumulator
-}
 
 // postingWeight is the per-posting score weight shared by the map-based
 // scorer and the frozen searcher: boost_f · (1+ln tf) / √len_f(d), rounded
@@ -46,9 +19,14 @@ func postingWeight(f int, tf, fieldLen float32) float32 {
 	return float32(Boosts[f] * (1 + math.Log(float64(tf))) / math.Sqrt(l))
 }
 
-// NewSearcher freezes an index into its flat search form. The index must
-// not be mutated afterwards (the searcher shares its ids slice).
-func NewSearcher(ix *Index) *Searcher {
+// NewSearcher freezes an index into its flat search form: a one-shard,
+// heap-resident ShardedSearcher. Postings are laid out CSR-style — for
+// every (term, field) pair a contiguous range over flat doc/weight arrays,
+// with the length-normalized boosted weight (1+ln tf)·boost_f/√len_f(d)
+// precomputed — so a probe is a pure gather-multiply-accumulate over idf
+// (gather.go). The index must not be mutated afterwards (the searcher
+// shares its ids slice).
+func NewSearcher(ix *Index) *ShardedSearcher {
 	terms := make([]string, 0, len(ix.df))
 	for tok := range ix.df {
 		terms = append(terms, tok)
@@ -63,14 +41,7 @@ func NewSearcher(ix *Index) *Searcher {
 		bestW:    make([]float64, len(terms)),
 		df:       make([]int32, len(terms)),
 	}
-	s := &Searcher{
-		ids:     ix.ids,
-		numDocs: len(ix.ids),
-		terms:   make(map[string]int32, len(terms)),
-		sh:      sh,
-	}
 	for ti, tok := range terms {
-		s.terms[tok] = int32(ti)
 		sh.idf[ti] = ix.IDF(tok)
 		sh.df[ti] = int32(ix.df[tok])
 	}
@@ -126,134 +97,32 @@ func NewSearcher(ix *Index) *Searcher {
 		sh.maxScore[ti] = sh.idf[ti] * best
 	}
 	sh.computeBlocks(DefaultBlockSize)
-	return s
-}
-
-// Len returns the number of indexed documents.
-func (s *Searcher) Len() int { return s.numDocs }
-
-// IDF returns the smoothed inverse document frequency of a token,
-// identical to Index.IDF: known terms return the value precomputed at
-// freeze time; unknown terms recompute the same smoothed formula.
-func (s *Searcher) IDF(tok string) float64 {
-	if s.numDocs == 0 {
-		return 1
+	return &ShardedSearcher{
+		numDocs:     len(ix.ids),
+		shardCount:  1,
+		ids:         ix.ids,
+		shards:      []*shard{sh},
+		shardPruned: make([]atomic.Uint64, 1),
 	}
-	if ti, ok := s.terms[tok]; ok {
-		return s.sh.idf[ti]
-	}
-	return math.Log(1 + float64(s.numDocs))
-}
-
-// IDOf returns the table ID of an internal doc number.
-func (s *Searcher) IDOf(doc int32) string { return s.ids[doc] }
-
-// TermStats returns a token's union document frequency and total posting
-// entries across all fields — the cost-model features a query planner
-// reads before probing. Both are O(1) reads off the frozen CSR arrays;
-// unknown tokens report ok=false.
-func (s *Searcher) TermStats(tok string) (df int32, postings int, ok bool) {
-	ti, ok := s.terms[tok]
-	if !ok {
-		return 0, 0, false
-	}
-	for f := 0; f < int(numFields); f++ {
-		postings += int(s.sh.off[f][ti+1] - s.sh.off[f][ti])
-	}
-	return s.sh.df[ti], postings, true
 }
 
 // accumulator is the per-query scratch of a search: a dense score array
 // whose entries are valid only when their generation tag matches cur, the
 // list of touched docs, reusable heap scratch for threshold and top-k
-// selection, and the probe-side term buffers (resolution set, canonical
-// term list, admission bounds). live/merged maintain the sorted list of
-// unfrozen candidates that whole-block skips check against (gather.go).
+// selection, and the per-position admission bounds. live/merged maintain
+// the sorted list of unfrozen candidates that whole-block skips check
+// against (gather.go).
 type accumulator struct {
 	score   []float64
 	gen     []uint32
 	cur     uint32
 	touched []int32
 	scratch []float64 // reusable buffer for the skip-threshold selection
-
-	tids   []int32        // resolved unique term IDs, canonical order
-	refs   []termRef      // resolved term refs handed to gather
-	seen   map[int32]bool // term dedup, cleared per search
-	suffix []float64      // per-position admission bound
+	suffix  []float64 // per-position admission bound
 
 	liveBits  []uint64 // bit per doc: unfrozen candidate (whole-block skip test)
 	merged    int      // touched entries already folded into liveBits
 	liveBuilt bool     // liveBits materialized (first closed block encountered)
-}
-
-func (s *Searcher) getAcc() *accumulator {
-	a, _ := s.pool.Get().(*accumulator)
-	if a == nil {
-		a = &accumulator{}
-	}
-	if len(a.score) < s.numDocs {
-		a.score = make([]float64, s.numDocs)
-		a.gen = make([]uint32, s.numDocs)
-		a.cur = 0
-	}
-	a.nextGen()
-	return a
-}
-
-// Search scores a union-of-keywords query exactly like Index.Search and
-// returns the top k hits (all hits when k <= 0), sorted by score then ID.
-func (s *Searcher) Search(tokens []string, k int) []Hit {
-	hits, _ := s.SearchStats(tokens, k)
-	return hits
-}
-
-// SearchStats is Search plus the probe's skip counters.
-func (s *Searcher) SearchStats(tokens []string, k int) ([]Hit, ProbeStats) {
-	var st ProbeStats
-	if len(tokens) == 0 || s.numDocs == 0 {
-		return nil, st
-	}
-	acc := s.getAcc()
-	defer s.pool.Put(acc)
-	// Resolve unique known terms into the pooled probe buffers.
-	tids := acc.tids[:0]
-	if acc.seen == nil {
-		acc.seen = make(map[int32]bool, len(tokens))
-	}
-	seen := acc.seen
-	clear(seen)
-	for _, tok := range tokens {
-		if ti, ok := s.terms[tok]; ok && !seen[ti] {
-			seen[ti] = true
-			tids = append(tids, ti)
-		}
-	}
-	acc.tids = tids
-	if len(tids) == 0 {
-		return nil, st
-	}
-	// Canonical processing order: df ascending, token ascending on ties.
-	// The map-based reference scorer uses the same order, which makes
-	// per-document float64 sums bit-identical — the equivalence the
-	// ranking tests pin down. Rarest-first also puts the selective terms
-	// ahead of the long lists, so the top-k floor forms before the block
-	// walk reaches the blocks worth skipping (term IDs are lexicographic
-	// ranks, breaking df ties by tid breaks them by token).
-	slices.SortFunc(tids, func(a, b int32) int {
-		if s.sh.df[a] != s.sh.df[b] {
-			return int(s.sh.df[a] - s.sh.df[b])
-		}
-		return int(a - b)
-	})
-	refs := acc.refs[:0]
-	for _, ti := range tids {
-		r := termRef{sh: s.sh, tid: ti}
-		r.fill()
-		refs = append(refs, r)
-	}
-	acc.refs = refs
-	gather(acc, refs, k, math.Inf(-1), &st)
-	return s.collect(acc, k), st
 }
 
 // kthLargest returns the kth largest score among touched docs (k <=
@@ -270,81 +139,6 @@ func (a *accumulator) kthLargest(k int) float64 {
 	}
 	// Worst-first heap of the k largest: the root is the kth largest.
 	return topKSelect(a.scratch, k, func(x, y float64) bool { return x < y })[0]
-}
-
-// worseDoc reports whether doc a ranks strictly below doc b (lower score,
-// or equal score and lexicographically larger table ID) — the inverse of
-// the hit ordering.
-func (s *Searcher) worseDoc(acc *accumulator, a, b int32) bool {
-	sa, sb := acc.score[a], acc.score[b]
-	if sa != sb {
-		return sa < sb
-	}
-	return s.ids[a] > s.ids[b]
-}
-
-// collect selects the top k touched docs (all when k <= 0) and materializes
-// sorted hits.
-func (s *Searcher) collect(acc *accumulator, k int) []Hit {
-	if len(acc.touched) == 0 {
-		return nil
-	}
-	winners := acc.touched
-	if k > 0 {
-		winners = topKSelect(acc.touched, k, func(a, b int32) bool { return s.worseDoc(acc, a, b) })
-	}
-	hits := make([]Hit, len(winners))
-	for i, d := range winners {
-		hits[i] = Hit{ID: s.ids[d], Score: acc.score[d]}
-	}
-	slices.SortFunc(hits, cmpHits)
-	return hits
-}
-
-// DocsWithToken returns the sorted doc set containing tok in any of the
-// given fields, equivalent to Index.DocsWithToken.
-func (s *Searcher) DocsWithToken(tok string, fields ...Field) []int32 {
-	ti, ok := s.terms[tok]
-	if !ok {
-		return nil
-	}
-	return s.sh.termDocs(ti, fields)
-}
-
-// DocSet returns the sorted set of documents containing all tokens, each in
-// at least one of the given fields — equivalent to Index.DocSet. The result
-// is freshly allocated and safe to retain.
-func (s *Searcher) DocSet(tokens []string, fields ...Field) []int32 {
-	tids := make([]int32, 0, len(tokens))
-	seen := make(map[int32]bool, len(tokens))
-	for _, tok := range tokens {
-		ti, ok := s.terms[tok]
-		if !ok {
-			return nil // a token absent from the corpus empties the set
-		}
-		if !seen[ti] {
-			seen[ti] = true
-			tids = append(tids, ti)
-		}
-	}
-	if len(tids) == 0 {
-		return nil
-	}
-	// Rarest token first keeps intermediate intersections small.
-	slices.SortFunc(tids, func(a, b int32) int {
-		if s.sh.df[a] != s.sh.df[b] {
-			return cmp.Compare(s.sh.df[a], s.sh.df[b])
-		}
-		return cmp.Compare(a, b)
-	})
-	set := s.sh.termDocs(tids[0], fields)
-	for _, ti := range tids[1:] {
-		if len(set) == 0 {
-			return nil
-		}
-		set = intersectSorted(set, s.sh.termDocs(ti, fields))
-	}
-	return set
 }
 
 // mergeSortedDocLists k-way merges up to numFields sorted doc lists into a

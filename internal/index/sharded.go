@@ -14,26 +14,27 @@ import (
 	"sync/atomic"
 )
 
-// ShardedSearcher is the sharded, disk-resident form of the frozen
-// Searcher: postings are partitioned by term hash into independent shards,
-// each holding its own term table and CSR arrays, while the doc table
-// (doc number → table ID) is shared. A probe scatters across shards in
+// ShardedSearcher is the frozen query-time form of an index: postings are
+// partitioned by term hash into independent shards, each holding its own
+// term table and CSR arrays, while the doc table (doc number → table ID)
+// is shared. NewSearcher freezes an Index into one heap-resident shard;
+// NewShardedFromSearcher re-partitions, and OpenSharded maps a flat
+// directory written by WriteSharded. A probe scatters across shards in
 // parallel — each shard resolves its slice of the query terms and
 // prefaults their posting pages — and the gather accumulates contributions
-// in the same canonical lexicographic term order as the single-shard
-// Searcher, so hits are bit-identical (IDs, scores, order, tie-breaks)
-// for every shard count. Term-hash sharding keeps every per-term quantity
-// (idf, df, max-score bound, posting list) exactly equal to its
-// single-shard value, which is what makes the canonical-order gather
-// exact rather than merely approximate.
+// in the canonical term order (df ascending, token ascending), so hits are
+// bit-identical (IDs, scores, order, tie-breaks) for every shard count.
+// Term-hash sharding keeps every per-term quantity (idf, df, max-score
+// bound, posting list) exactly equal to its single-shard value, which is
+// what makes the canonical-order gather exact rather than merely
+// approximate (TestSearcherEquivalence pins every shard count against the
+// map-based Index.Search).
 //
 // A ShardedSearcher is immutable and safe for concurrent use (the pruning
 // counters are atomics). When opened from disk (OpenSharded) its arrays
 // alias the file mapping: results must not outlive Close.
 //
-// Scoring itself is the shared gather (gather.go) — the same code path the
-// single-shard Searcher runs, so the two cannot drift apart
-// (TestShardedSearcherEquivalence pins them anyway). On top of it, a probe
+// Scoring itself is the shared gather (gather.go). On top of it, a probe
 // with block summaries on every shard runs a floor-seeding pre-pass: shards
 // are ranked by their score upper bound (the sum of their resolved terms'
 // max-scores), the best one or two are scored into a throwaway generation
@@ -60,13 +61,11 @@ type ShardedSearcher struct {
 }
 
 // shard is one term-hash partition: a term table in lexicographic order
-// plus the per-field CSR arrays over the shared doc space. The single-shard
-// Searcher holds its whole corpus as one shard, so the scoring gather is
-// shared verbatim.
+// plus the per-field CSR arrays over the shared doc space.
 //
 // A flat-opened shard's arrays are zero-copy views over its postings
-// file's mapping; the Searcher/ShardedSearcher that opened it owns the
-// mapping and its Close is the unmap point (mmapalias invariant).
+// file's mapping; the ShardedSearcher that opened it owns the mapping and
+// its Close is the unmap point (mmapalias invariant).
 //
 //wwt:mmap-owner
 type shard struct {
@@ -136,11 +135,15 @@ func (sh *shard) lookup(tok string) (int32, bool) {
 	return 0, false
 }
 
-// NewShardedFromSearcher partitions a frozen Searcher's terms by hash into
-// n shards, copying each term's CSR ranges into its home shard. Per-term
-// statistics (idf, df, maxScore) carry over unchanged — term-hash
-// sharding does not alter them. The doc table is shared with s.
-func NewShardedFromSearcher(s *Searcher, n int) *ShardedSearcher {
+// NewShardedFromSearcher re-partitions s's terms by hash into n shards,
+// copying each term's CSR ranges into its home shard. Per-term statistics
+// (idf, df, maxScore) carry over unchanged — term-hash sharding does not
+// alter them. The arrays are always copied, even for n == 1, so the
+// result's block summaries can be recomputed (WriteShardedWith does)
+// without touching s, which may be serving queries. The doc table and
+// term strings are shared with s: over a disk-opened s, the result must
+// not outlive s.Close.
+func NewShardedFromSearcher(s *ShardedSearcher, n int) *ShardedSearcher {
 	if n < 1 {
 		n = 1
 	}
@@ -148,36 +151,53 @@ func NewShardedFromSearcher(s *Searcher, n int) *ShardedSearcher {
 		numDocs:     s.numDocs,
 		shardCount:  n,
 		ids:         s.ids,
+		idOffs:      s.idOffs,
+		idBlob:      s.idBlob,
 		shards:      make([]*shard, n),
 		shardPruned: make([]atomic.Uint64, n),
 	}
-	src := s.sh
-	perShard := make([][]int32, n)
-	for ti, name := range src.names {
-		g := shardOfToken(name, n)
-		perShard[g] = append(perShard[g], int32(ti))
+	// Every source term in global lexicographic order, so each new shard
+	// receives its terms already sorted.
+	type srcTerm struct {
+		sh   *shard
+		tid  int32
+		name string
 	}
-	for g := 0; g < n; g++ {
-		tids := perShard[g] // ascending global term IDs = lexicographic order
+	var terms []srcTerm
+	for _, sh := range s.shards {
+		for ti := int32(0); ti < int32(sh.numTerms); ti++ {
+			terms = append(terms, srcTerm{sh, ti, sh.termName(ti)})
+		}
+	}
+	if len(s.shards) > 1 {
+		slices.SortFunc(terms, func(a, b srcTerm) int { return strings.Compare(a.name, b.name) })
+	}
+	perShard := make([][]srcTerm, n)
+	for _, t := range terms {
+		g := shardOfToken(t.name, n)
+		perShard[g] = append(perShard[g], t)
+	}
+	for g, ts := range perShard {
 		sh := &shard{
-			numTerms: len(tids),
-			names:    make([]string, len(tids)),
-			idf:      make([]float64, len(tids)),
-			maxScore: make([]float64, len(tids)),
-			bestW:    make([]float64, len(tids)),
-			df:       make([]int32, len(tids)),
+			numTerms: len(ts),
+			names:    make([]string, len(ts)),
+			idf:      make([]float64, len(ts)),
+			maxScore: make([]float64, len(ts)),
+			bestW:    make([]float64, len(ts)),
+			df:       make([]int32, len(ts)),
 		}
 		for f := 0; f < int(numFields); f++ {
 			total := 0
-			for _, ti := range tids {
-				total += int(src.off[f][ti+1] - src.off[f][ti])
+			for _, t := range ts {
+				total += int(t.sh.off[f][t.tid+1] - t.sh.off[f][t.tid])
 			}
-			sh.off[f] = make([]int32, len(tids)+1)
+			sh.off[f] = make([]int32, len(ts)+1)
 			sh.docs[f] = make([]int32, 0, total)
 			sh.wts[f] = make([]float32, 0, total)
 		}
-		for li, ti := range tids {
-			sh.names[li] = src.names[ti]
+		for li, t := range ts {
+			src, ti := t.sh, t.tid
+			sh.names[li] = t.name
 			sh.idf[li] = src.idf[ti]
 			sh.maxScore[li] = src.maxScore[ti]
 			sh.bestW[li] = src.bestW[ti]
@@ -190,9 +210,11 @@ func NewShardedFromSearcher(s *Searcher, n int) *ShardedSearcher {
 			}
 		}
 		for f := 0; f < int(numFields); f++ {
-			sh.off[f][len(tids)] = int32(len(sh.docs[f]))
+			sh.off[f][len(ts)] = int32(len(sh.docs[f]))
 		}
-		sh.computeBlocks(src.blockSize)
+		if bs := s.shards[0].blockSize; bs > 0 {
+			sh.computeBlocks(bs)
+		}
 		ss.shards[g] = sh
 	}
 	return ss
@@ -225,17 +247,19 @@ type WriteShardedOptions struct {
 // so tests can exercise the bound without a 2^31-posting corpus.
 var maxSectionInt32 = math.MaxInt32
 
-// WriteSharded persists a frozen Searcher as a flat sharded index under
-// dir in the current format version (2): one shared doc-table file plus
-// nShards postings files, each in the versioned mmap-friendly layout
-// described in the package documentation.
-func WriteSharded(dir string, s *Searcher, nShards int) error {
+// WriteSharded persists a searcher as a flat sharded index under dir in
+// the current format version (2): one shared doc-table file plus nShards
+// postings files, each in the versioned mmap-friendly layout described in
+// the package documentation. s is only read: its postings are re-
+// partitioned into private copies (NewShardedFromSearcher) before any
+// block summaries are written.
+func WriteSharded(dir string, s *ShardedSearcher, nShards int) error {
 	return WriteShardedWith(dir, s, nShards, WriteShardedOptions{})
 }
 
 // WriteShardedWith is WriteSharded with an explicit format version and
 // block size. Invalid options fail before any file is written.
-func WriteShardedWith(dir string, s *Searcher, nShards int, opts WriteShardedOptions) error {
+func WriteShardedWith(dir string, s *ShardedSearcher, nShards int, opts WriteShardedOptions) error {
 	if nShards < 1 {
 		nShards = 1
 	}
@@ -271,7 +295,11 @@ func WriteShardedWith(dir string, s *Searcher, nShards int, opts WriteShardedOpt
 			}
 		}
 	}
-	idOffs, idBlob := packStrings(s.ids)
+	ids := make([]string, s.numDocs)
+	for d := range ids {
+		ids[d] = s.IDOf(int32(d))
+	}
+	idOffs, idBlob := packStrings(ids)
 	err := writeFlatFile(filepath.Join(dir, DocsFileName), uint32(version), 0, kindDocs, 0, uint32(nShards),
 		uint64(s.numDocs), 0, []section{
 			{secIDOffs, int64Bytes(idOffs)},
@@ -538,9 +566,9 @@ func (ss *ShardedSearcher) IDF(tok string) float64 {
 }
 
 // TermStats returns a token's union document frequency and total posting
-// entries across all fields, read from the token's home shard — identical
-// to Searcher.TermStats at every shard count. Unknown tokens report
-// ok=false.
+// entries across all fields — the cost-model features a query planner
+// reads before probing — read from the token's home shard, identical to
+// Index.TermStats at every shard count. Unknown tokens report ok=false.
 func (ss *ShardedSearcher) TermStats(tok string) (df int32, postings int, ok bool) {
 	sh := ss.shards[shardOfToken(tok, ss.shardCount)]
 	ti, ok := sh.lookup(tok)
@@ -587,8 +615,7 @@ func (r *termRef) fill() {
 }
 
 // shardedScratch is the pooled per-probe state: the dense accumulator
-// (shared layout with the single-shard Searcher) plus the scatter-side
-// buffers (token dedup, per-shard token groups, resolved refs, and the
+// plus the scatter-side buffers (token dedup, per-shard token groups, resolved refs, and the
 // pruning pre-pass's shard ordering).
 type shardedScratch struct {
 	acc       accumulator
@@ -677,9 +704,9 @@ const passAShardCap = 2
 // itself in pruned prefaults and closed blocks.
 const passASkewFactor = 4
 
-// Search scores a union-of-keywords query and returns the top k hits (all
-// hits when k <= 0), bit-identical to the single-shard Searcher at every
-// shard count.
+// Search scores a union-of-keywords query exactly like Index.Search and
+// returns the top k hits (all hits when k <= 0), sorted by score then ID —
+// bit-identical at every shard count.
 func (ss *ShardedSearcher) Search(tokens []string, k int) []Hit {
 	hits, _ := ss.SearchStats(tokens, k)
 	return hits
@@ -781,8 +808,10 @@ func (ss *ShardedSearcher) SearchStats(tokens []string, k int) ([]Hit, ProbeStat
 		return nil, st
 	}
 	// Gather in canonical term order — df ascending, token ascending on
-	// ties, exactly the order the single-shard Searcher and the reference
-	// scorer accumulate in, so per-document float64 sums are bit-identical.
+	// ties, exactly the order the reference scorer accumulates in, so
+	// per-document float64 sums are bit-identical. Rarest-first also puts
+	// the selective terms ahead of the long lists, so the top-k floor
+	// forms before the block walk reaches the blocks worth skipping.
 	sortRefs(refs)
 	gather(&sc.acc, refs, k, floor, &st)
 	return ss.collect(&sc.acc, k), st
@@ -895,8 +924,7 @@ func (ss *ShardedSearcher) passA(sc *shardedScratch, k int, st *ProbeStats) floa
 
 // sortRefs puts resolved term refs into the canonical accumulation order:
 // df ascending, token ascending on ties (the same order the reference
-// scorer and the single-shard Searcher use — per-document float64 sums
-// depend on it).
+// scorer uses — per-document float64 sums depend on it).
 func sortRefs(refs []termRef) {
 	slices.SortFunc(refs, func(a, b termRef) int {
 		if a.df != b.df {
@@ -935,7 +963,9 @@ func (ss *ShardedSearcher) ShardPruneCounts() []uint64 {
 	return out
 }
 
-// worseDoc mirrors Searcher.worseDoc over the shared doc table.
+// worseDoc reports whether doc a ranks strictly below doc b (lower score,
+// or equal score and lexicographically larger table ID) — the inverse of
+// the hit ordering.
 func (ss *ShardedSearcher) worseDoc(acc *accumulator, a, b int32) bool {
 	sa, sb := acc.score[a], acc.score[b]
 	if sa != sb {
@@ -944,7 +974,8 @@ func (ss *ShardedSearcher) worseDoc(acc *accumulator, a, b int32) bool {
 	return ss.IDOf(a) > ss.IDOf(b)
 }
 
-// collect mirrors Searcher.collect.
+// collect selects the top k touched docs (all when k <= 0) and
+// materializes sorted hits.
 func (ss *ShardedSearcher) collect(acc *accumulator, k int) []Hit {
 	if len(acc.touched) == 0 {
 		return nil
@@ -961,7 +992,8 @@ func (ss *ShardedSearcher) collect(acc *accumulator, k int) []Hit {
 	return hits
 }
 
-// termDocs mirrors Searcher.termDocs over one shard.
+// termDocs returns the sorted doc set holding term ti in any of the given
+// fields: the union of its per-field posting ranges, freshly allocated.
 func (sh *shard) termDocs(ti int32, fields []Field) []int32 {
 	var lists [int(numFields)][]int32
 	var used [int(numFields)]bool
@@ -981,7 +1013,7 @@ func (sh *shard) termDocs(ti int32, fields []Field) []int32 {
 }
 
 // DocsWithToken returns the sorted doc set containing tok in any of the
-// given fields — equivalent to Searcher.DocsWithToken. A term's postings
+// given fields — equivalent to Index.DocsWithToken. A term's postings
 // live wholly in its home shard, and doc numbers are global, so no
 // cross-shard merge is needed.
 func (ss *ShardedSearcher) DocsWithToken(tok string, fields ...Field) []int32 {
@@ -997,11 +1029,11 @@ func (ss *ShardedSearcher) DocsWithToken(tok string, fields ...Field) []int32 {
 }
 
 // DocSet returns the sorted set of documents containing all tokens, each
-// in at least one of the given fields — equivalent to Searcher.DocSet.
-// Tokens resolve to their home shards; the intersection runs over global
-// doc numbers, rarest term first with lexicographic tie-breaks (the same
-// order the single-shard Searcher uses, whose term IDs are lexicographic
-// ranks).
+// in at least one of the given fields — equivalent to Index.DocSet. The
+// result is freshly allocated and safe to retain. Tokens resolve to their
+// home shards; the intersection runs over global doc numbers, rarest term
+// first with lexicographic tie-breaks, which keeps intermediate
+// intersections small.
 func (ss *ShardedSearcher) DocSet(tokens []string, fields ...Field) []int32 {
 	if ss.numDocs == 0 {
 		return nil

@@ -14,7 +14,7 @@ import (
 // scales with the corpus; mmap open does not) without slowing the suite.
 const benchCorpusSize = 1500
 
-func benchSearcher(b *testing.B) *Searcher {
+func benchSearcher(b *testing.B) *ShardedSearcher {
 	b.Helper()
 	r := rand.New(rand.NewSource(2012))
 	tables := make([]*wtable.Table, benchCorpusSize)
@@ -28,7 +28,7 @@ func benchSearcher(b *testing.B) *Searcher {
 	return NewSearcher(ix)
 }
 
-func benchGobPath(b *testing.B, s *Searcher) string {
+func benchGobPath(b *testing.B, s *ShardedSearcher) string {
 	b.Helper()
 	r := rand.New(rand.NewSource(2012))
 	tables := make([]*wtable.Table, benchCorpusSize)
@@ -114,7 +114,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleShardSearch is the in-memory Searcher baseline over the
+// BenchmarkSingleShardSearch is the frozen in-memory baseline over the
 // same corpus and query mix as BenchmarkShardedSearch.
 func BenchmarkSingleShardSearch(b *testing.B) {
 	s := benchSearcher(b)
@@ -134,7 +134,7 @@ func BenchmarkSingleShardSearch(b *testing.B) {
 // TestDocSetCacheWarmHitAllocs, this reports the trajectory numbers.
 func BenchmarkDocSetCacheWarmHit(b *testing.B) {
 	s := benchSearcher(b)
-	c := NewDocSetCache(s, 0)
+	c := NewDocSetCache(s, 1, 0)
 	toks := []string{propWords[3], propWords[1], propWords[1], propWords[0]}
 	c.DocSet(toks, FieldHeader, FieldContext)
 	b.ReportAllocs()

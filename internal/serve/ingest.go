@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -75,7 +76,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.ingestErrs.Add(1)
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already indexed") {
+		if errors.Is(err, wwt.ErrTableExists) {
 			status = http.StatusConflict
 		}
 		writeJSON(w, status, errorDTO{Error: err.Error()})

@@ -62,6 +62,10 @@ type LiveEngine struct {
 	reclaimed      atomic.Uint64 // retired generations whose last ref released
 }
 
+// ErrTableExists reports an ingest of a table whose ID the corpus already
+// holds. IngestTables wraps it; match it with errors.Is.
+var ErrTableExists = errors.New("table ID already indexed")
+
 // liveGen is one published generation: an immutable Engine plus the
 // refcount that defers Close past the last in-flight query. The
 // published pointer itself holds one reference; retiring the generation
@@ -120,7 +124,7 @@ func OpenLive(dir string, opts *Options) (*LiveEngine, error) {
 		norm:     text.NewNormCache(0),
 		planner:  plan.NewEstimator(len(inference.Algorithms), plan.DefaultAlpha),
 	}
-	eng := NewEngineFromMulti(ms, st, &o)
+	eng := newEngine(ms, st, o)
 	eng.norm = le.norm
 	eng.planner = le.planner
 	g := &liveGen{eng: eng, gen: m.Generation, reclaimed: &le.reclaimed}
@@ -227,7 +231,7 @@ func (le *LiveEngine) Planner() *plan.Estimator { return le.planner }
 // Info snapshots the serving generation.
 func (le *LiveEngine) Info() LiveInfo {
 	g := le.cur.Load()
-	ms := g.eng.multi
+	ms := g.eng.probe
 	return LiveInfo{Generation: g.gen, Segments: ms.Segments(), Shards: ms.Shards(), Docs: ms.Len(), Mmapped: ms.Mmapped()}
 }
 
@@ -270,7 +274,7 @@ func (le *LiveEngine) ingestTables(tables []*wtable.Table) (LiveInfo, error) {
 	for _, t := range tables {
 		if t != nil {
 			if _, dup := cur.eng.Store.Get(t.ID); dup {
-				return LiveInfo{}, fmt.Errorf("wwt: ingest: table ID %q already indexed", t.ID)
+				return LiveInfo{}, fmt.Errorf("wwt: ingest: %w: %q", ErrTableExists, t.ID)
 			}
 		}
 		if err := w.Add(t); err != nil {
@@ -327,23 +331,19 @@ func (le *LiveEngine) publishLocked(added []*wtable.Table, migrate bool) error {
 			}
 		}
 	}
-	eng := NewEngineFromMulti(ms, st, &le.opts)
+	eng := newEngine(ms, st, le.opts)
 	eng.norm = le.norm
 	eng.planner = le.planner
 	if migrate {
-		newC, okNew := eng.docsets.(*index.ShardedDocSetCache)
-		oldC, okOld := old.eng.docsets.(*index.ShardedDocSetCache)
-		if okNew && okOld {
-			last := ms.Segments() - 1
-			newC.AdoptFrom(oldC, func(tokens []string) bool {
-				for _, tok := range tokens {
-					if ms.SegmentHasTerm(last, tok) {
-						return true
-					}
+		last := ms.Segments() - 1
+		eng.docsets.AdoptFrom(old.eng.docsets, func(tokens []string) bool {
+			for _, tok := range tokens {
+				if ms.SegmentHasTerm(last, tok) {
+					return true
 				}
-				return false
-			})
-		}
+			}
+			return false
+		})
 	}
 	g := &liveGen{eng: eng, gen: m.Generation, reclaimed: &le.reclaimed}
 	g.refs.Store(1)
@@ -373,7 +373,7 @@ func (le *LiveEngine) maybeMergeLocked() {
 // mergeableLocked lists the merge-eligible segments (every manifest
 // entry except the base index) with their doc counts.
 func (le *LiveEngine) mergeableLocked() ([]string, []int) {
-	lens := le.cur.Load().eng.multi.SegmentLens()
+	lens := le.cur.Load().eng.probe.SegmentLens()
 	var names []string
 	var docs []int
 	for i, entry := range le.manifest.Segments {

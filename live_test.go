@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,7 +24,7 @@ func liveDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := index.WriteSharded(dir, eng.Searcher(), 2); err != nil {
+	if err := index.WriteSharded(dir, index.NewSearcher(eng.Index), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Store.Save(filepath.Join(dir, index.StoreFileName)); err != nil {
@@ -109,8 +108,7 @@ func TestLiveEngineIngestRoundTrip(t *testing.T) {
 
 	// Duplicate IDs are rejected — against the base corpus and the
 	// just-ingested segment alike.
-	if _, err := le.IngestTables([]*wtable.Table{currencyTable(0)}); err == nil ||
-		!strings.Contains(err.Error(), "already indexed") {
+	if _, err := le.IngestTables([]*wtable.Table{currencyTable(0)}); !errors.Is(err, wwt.ErrTableExists) {
 		t.Fatalf("duplicate ingest: %v", err)
 	}
 

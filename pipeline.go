@@ -173,7 +173,7 @@ func (e *Engine) stageProbe1(st *queryState, s *QueryScratch) (bool, error) {
 				continue
 			}
 			s.seen[tok] = true
-			if _, postings, ok := e.termStats(tok); ok {
+			if _, postings, ok := e.probe.TermStats(tok); ok {
 				st.postings += postings
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wwt"
+	"wwt/internal/index"
 	"wwt/internal/text"
 )
 
@@ -230,6 +231,7 @@ func TestEngineProbeMatchesMapScorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := index.NewSearcher(eng.Index)
 	for _, cols := range [][]string{
 		{"country", "currency"},
 		{"name", "area"},
@@ -241,7 +243,7 @@ func TestEngineProbeMatchesMapScorer(t *testing.T) {
 		}
 		for _, k := range []int{0, 1, 2, 40} {
 			want := eng.Index.Search(tokens, k)
-			got := eng.Searcher().Search(tokens, k)
+			got := s.Search(tokens, k)
 			if len(want) != len(got) {
 				t.Fatalf("cols %v k=%d: %d hits, want %d", cols, k, len(got), len(want))
 			}
