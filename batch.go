@@ -213,31 +213,22 @@ func (e *Engine) AnswerBatchCtx(ctx context.Context, queries []Query, workers in
 	return e.AnswerBatchPlan(ctx, queries, workers, perQuery, BatchPlan{})
 }
 
-// BatchPlan carries per-batch planner overrides for AnswerBatchPlan. The
-// zero value reproduces AnswerBatchCtx exactly: FIFO dispatch, the
-// engine's default planner levers.
+// BatchPlan carries the per-batch member schedule for AnswerBatchPlan.
+// The zero value reproduces AnswerBatchCtx exactly: FIFO dispatch.
 type BatchPlan struct {
-	// Schedule selects the member dispatch order (FIFO, SJF, deadline).
+	// Schedule selects the member dispatch order (FIFO or SJF).
 	Schedule Schedule
-	// Planner, when non-nil, replaces the engine's default planner levers
-	// for every member of this batch (nil keeps Options.Planner).
-	Planner *PlannerOptions
 }
 
-// AnswerBatchPlan is AnswerBatchCtx with a per-batch plan: a member
-// dispatch order (planner lever (c)) and optional per-batch planner lever
-// overrides. Scheduling only reorders *when* members run — every member
+// AnswerBatchPlan is AnswerBatchCtx with a per-batch member dispatch
+// order. Scheduling only reorders *when* members run — every member
 // still lands in its submission-order output slot with a result
 // bit-identical to its solo call (pinned by
 // TestAnswerBatchSchedulingEquivalence); BatchResult.Latency records what
 // the reordering did to each member's completion time.
 func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers int, perQuery time.Duration, bp BatchPlan) *BatchResult {
 	start := time.Now()
-	popts := e.Opts.Planner
-	if bp.Planner != nil {
-		popts = *bp.Planner
-	}
-	order := e.dispatchOrder(queries, bp.Schedule, perQuery)
+	order := e.dispatchOrder(queries, bp.Schedule)
 	br := &BatchResult{
 		Results: make([]*Result, len(queries)),
 		Errs:    make([]error, len(queries)),
@@ -255,7 +246,7 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 				qctx, cancel = context.WithTimeout(ctx, perQuery)
 				defer cancel()
 			}
-			return e.answerPlan(qctx, queries[i], s, popts)
+			return e.answer(qctx, queries[i], s)
 		}()
 		br.Latency[i] = time.Since(start)
 		if err != nil {
@@ -281,13 +272,11 @@ func (e *Engine) AnswerBatchPlan(ctx context.Context, queries []Query, workers i
 
 // dispatchOrder computes the member dispatch permutation for a schedule:
 // nil for FIFO (and for any batch too small to reorder), otherwise a
-// stable sort of the member indices by estimated cost (SJF ascending;
-// deadline by ascending slack = perQuery − estimate, which under the
-// uniform per-member budget is descending cost — the members closest to
-// blowing the deadline run first). Stability makes ties keep submission
-// order, so a cold estimator (all estimates 0) degenerates to FIFO.
-func (e *Engine) dispatchOrder(queries []Query, sched Schedule, perQuery time.Duration) []int {
-	if sched == ScheduleFIFO || len(queries) < 2 || e.planner == nil {
+// stable sort of the member indices by ascending estimated cost (SJF).
+// Stability makes ties keep submission order, so a cold estimator (all
+// estimates 0) degenerates to FIFO.
+func (e *Engine) dispatchOrder(queries []Query, sched Schedule) []int {
+	if sched != ScheduleSJF || len(queries) < 2 || e.planner == nil {
 		return nil
 	}
 	est := make([]time.Duration, len(queries))
@@ -298,14 +287,7 @@ func (e *Engine) dispatchOrder(queries []Query, sched Schedule, perQuery time.Du
 	for i := range order {
 		order[i] = i
 	}
-	switch sched {
-	case ScheduleSJF:
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(est[a], est[b]) })
-	case ScheduleDeadline:
-		slices.SortStableFunc(order, func(a, b int) int {
-			return cmp.Compare(perQuery-est[a], perQuery-est[b])
-		})
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(est[a], est[b]) })
 	return order
 }
 
@@ -322,7 +304,7 @@ func (e *Engine) CandidatesBatch(queries []Query, workers int) (sets []Candidate
 	errs = make([]error, len(queries))
 	bt.Queries = len(queries)
 	bt.Workers = e.forEachQuery(len(queries), workers, nil, func(i int, s *QueryScratch) bool {
-		st := &queryState{query: queries[i], popts: e.Opts.Planner}
+		st := &queryState{query: queries[i]}
 		if err := e.runStages(nil, probePipeline, st, s, &sets[i].Timings); err != nil {
 			errs[i] = err
 			return false

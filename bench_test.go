@@ -529,7 +529,7 @@ func benchMixedBatch(b *testing.B, sched wwt.Schedule) {
 	b.ReportMetric(float64(len(w.queries)*b.N)/b.Elapsed().Seconds(), "qps")
 }
 
-// BenchmarkAnswerBatchMixedFIFO is the before side of planner lever (c):
+// BenchmarkAnswerBatchMixedFIFO is the before side of SJF scheduling:
 // heavy-first submission order dispatched as submitted, so light members
 // queue behind the heavy head of line.
 func BenchmarkAnswerBatchMixedFIFO(b *testing.B) { benchMixedBatch(b, wwt.ScheduleFIFO) }
@@ -539,36 +539,6 @@ func BenchmarkAnswerBatchMixedFIFO(b *testing.B) { benchMixedBatch(b, wwt.Schedu
 // and only the heavy tail pays the heavy cost. Compare p99-ns against
 // BenchmarkAnswerBatchMixedFIFO.
 func BenchmarkAnswerBatchMixedSJF(b *testing.B) { benchMixedBatch(b, wwt.ScheduleSJF) }
-
-// BenchmarkPlannerElision measures the full pipeline with probe-2 elision
-// enabled at a threshold low enough to fire on the eval workload, and
-// reports the realized elision rate alongside latency.
-func BenchmarkPlannerElision(b *testing.B) {
-	w := getWorld(b)
-	opts := wwt.DefaultOptions()
-	opts.Planner.ElideProbe2 = true
-	opts.Planner.ElideConfidence = 0.9
-	eng, err := wwt.NewEngine(w.tables, &opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := batchQueries(w)
-	answered := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		res, err := eng.Answer(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Release()
-		answered++
-	}
-	b.StopTimer()
-	if answered > 0 {
-		b.ReportMetric(float64(eng.PlanStats().Probe2Elided)/float64(answered), "elide-rate")
-	}
-}
 
 // BenchmarkIndexBuild measures building the boosted 3-field index.
 func BenchmarkIndexBuild(b *testing.B) {

@@ -28,7 +28,7 @@ type benchLine struct {
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 	MBPerSec    *float64 `json:"mb_per_sec,omitempty"`
 
-	// Extra carries custom b.ReportMetric units (p99-ns, elide-rate, ...)
+	// Extra carries custom b.ReportMetric units (p99-ns, qps, ...)
 	// keyed by unit name, so scheduler/planner benchmarks survive the
 	// conversion without the parser learning each new unit.
 	Extra map[string]float64 `json:"extra,omitempty"`

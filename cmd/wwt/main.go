@@ -32,9 +32,7 @@ func main() {
 	explain := flag.Bool("explain", false, "print per-table mapping rationale")
 	batchFile := flag.String("batch", "", "file of queries, one per line ('-' = stdin); answers them as one batch")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	schedule := flag.String("schedule", "fifo", "batch dispatch order: fifo|sjf|deadline")
-	planElide := flag.Bool("plan-elide", false, "planner: skip the second probe when stage-1 mapping confidence clears -plan-elide-conf")
-	planElideConf := flag.Float64("plan-elide-conf", wwt.DefaultElideConfidence, "planner: stage-1 confidence threshold for probe-2 elision")
+	schedule := flag.String("schedule", "fifo", "batch dispatch order: fifo|sjf")
 	flag.Parse()
 
 	single := *batchFile == ""
@@ -76,7 +74,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *alg))
 	}
-	opts.Planner = wwt.PlannerOptions{ElideProbe2: *planElide, ElideConfidence: *planElideConf}
 	sched, err := wwt.ParseSchedule(*schedule)
 	if err != nil {
 		fatal(err)

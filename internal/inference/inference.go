@@ -38,14 +38,6 @@ func (a Algorithm) String() string {
 // Algorithms lists all methods in Table 2 order.
 var Algorithms = []Algorithm{Independent, AlphaExpansion, BP, TRWS, TableCentric}
 
-// Degrade maps an algorithm to its deadline-degradation fallback: every
-// collective method falls back to the independent per-table solve, which
-// is the cheapest labeling that still satisfies all hard constraints
-// (it is the ICM-style lower bound every collective method starts from).
-// Independent degrades to itself. The query planner uses this seam when a
-// member's estimated remaining cost overruns its deadline.
-func Degrade(a Algorithm) Algorithm { return Independent }
-
 // Solve runs the chosen algorithm on the model and returns a labeling that
 // satisfies all hard constraints.
 func Solve(m *core.Model, alg Algorithm) core.Labeling {

@@ -1,5 +1,5 @@
-// Package plan is the cost model behind the engine's adaptive query
-// planner: per-query cost estimates computed from index statistics, with
+// Package plan is the cost model behind the engine's query planner:
+// per-query cost estimates computed from index statistics, with
 // per-stage cost coefficients calibrated online from observed stage
 // timings.
 //
@@ -19,11 +19,11 @@
 //
 // The features come from statistics the index already holds: posting-list
 // lengths and document frequencies are direct reads from the CSR term
-// blobs (MultiSearcher.TermStats), and the candidate-table
-// count is bounded by min(ProbeK, Σ df). Linear-in-tables is deliberately
-// crude for the quadratic edge build, but scheduling and degradation only
-// need costs to be *ordered* correctly, and the decaying average tracks
-// the workload's realized mix.
+// blobs (MultiSearcher.TermStats), and the candidate-table count is
+// bounded by min(ProbeK, Σ df). Linear-in-tables is deliberately crude
+// for the quadratic edge build, but scheduling only needs costs to be
+// *ordered* correctly, and the decaying average tracks the workload's
+// realized mix.
 //
 // # Calibration contract
 //
@@ -31,11 +31,12 @@
 // the coefficients via an exponentially decaying average (default memory
 // ≈ 1/alpha ≈ 20 queries), so the model self-corrects as the workload or
 // hardware changes. Before the first observation every coefficient is
-// zero: estimates are zero, every query ties, and consumers degrade to
-// their non-adaptive behavior (FIFO dispatch, no degradation) — a cold
-// estimator is safe by construction. Observe also tracks the decayed
-// relative error |estimated−actual|/actual of its own predictions, which
-// the serving layer exports as the estimated-vs-actual cost error gauge.
+// zero: estimates are zero, every query ties, and SJF dispatch falls
+// back to FIFO — a cold estimator is safe by construction. Estimates
+// only order batch dispatch; they never change an answer. Observe also
+// tracks the decayed relative error |estimated−actual|/actual of its own
+// predictions, which the serving layer exports as the
+// estimated-vs-actual cost error gauge.
 //
 // Estimator is safe for concurrent Observe/Estimate calls (one mutex; the
 // critical sections are a few dozen arithmetic operations).

@@ -214,25 +214,12 @@ func (e *Estimator) estimateQueryLocked(postings, tables, ai int, secondProbe bo
 	if secondProbe {
 		ns += e.probe2.v * float64(tables)
 	}
-	ns += e.tailLocked(tables, ai, true)
+	ns += e.tailLocked(tables, ai)
 	return time.Duration(ns)
 }
 
-// EstimateTail predicts the cost of the pipeline stages still ahead of a
-// query that holds the given final candidate-table count: model build
-// (when includeBuild), inference under alg, and consolidation. A cold
-// estimator returns 0.
-func (e *Estimator) EstimateTail(tables, alg int, includeBuild bool) time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return time.Duration(e.tailLocked(tables, e.algIndex(alg), includeBuild))
-}
-
-func (e *Estimator) tailLocked(tables, ai int, includeBuild bool) float64 {
-	ns := 0.0
-	if includeBuild {
-		ns += e.build.v * float64(tables)
-	}
+func (e *Estimator) tailLocked(tables, ai int) float64 {
+	ns := e.build.v * float64(tables)
 	ns += e.infer[ai].v * float64(tables)
 	ns += e.cons.v * float64(tables)
 	return ns

@@ -38,9 +38,6 @@ func TestEstimatorColdIsZero(t *testing.T) {
 	if got := e.EstimateQuery(Features{Postings: 1000, Tables: 40}, 4, true); got != 0 {
 		t.Fatalf("cold estimate: got %v, want 0", got)
 	}
-	if got := e.EstimateTail(40, 4, true); got != 0 {
-		t.Fatalf("cold tail: got %v, want 0", got)
-	}
 	if e.Calibrated(0) {
 		t.Fatal("cold estimator reports calibrated")
 	}
@@ -82,13 +79,6 @@ func TestEstimatorCalibratesAndScales(t *testing.T) {
 	noP2 := e.EstimateQuery(Features{Postings: 100, Tables: 20}, 1, false)
 	if noP2 != want-40*time.Microsecond {
 		t.Fatalf("no-second-probe estimate: got %v, want %v", noP2, want-40*time.Microsecond)
-	}
-	// Tail-only estimate covers build+infer+cons.
-	if tail := e.EstimateTail(20, 1, true); tail != 80*time.Microsecond {
-		t.Fatalf("tail: got %v, want 80µs", tail)
-	}
-	if tail := e.EstimateTail(20, 1, false); tail != 40*time.Microsecond {
-		t.Fatalf("tail sans build: got %v, want 40µs", tail)
 	}
 }
 
@@ -145,7 +135,6 @@ func TestEstimatorConcurrentAccess(t *testing.T) {
 					Probe1: time.Microsecond, Read1: time.Microsecond,
 					Build: time.Microsecond, Infer: time.Microsecond, Cons: time.Microsecond})
 				e.EstimateQuery(Features{Postings: 100, Tables: 10}, w%5, true)
-				e.EstimateTail(10, w%5, true)
 				e.ErrorRate()
 			}
 		}(w)

@@ -19,13 +19,13 @@ import (
 // calls.
 type Backend interface {
 	// AnswerBatchPlan answers queries under ctx with a per-member deadline
-	// and a batch plan (member schedule + planner lever overrides); see
+	// and a batch plan (the member schedule); see
 	// wwt.Engine.AnswerBatchPlan for the slot/error contract.
 	AnswerBatchPlan(ctx context.Context, queries []wwt.Query, workers int, perQuery time.Duration, bp wwt.BatchPlan) *wwt.BatchResult
 	// CacheStats snapshots the engine's cross-query cache counters.
 	CacheStats() wwt.EngineCacheStats
-	// PlanStats snapshots the adaptive planner's lever counters and
-	// cost-model error.
+	// PlanStats snapshots the planner's cost-model error and the
+	// probe-pruning counters.
 	PlanStats() wwt.PlanStats
 }
 
@@ -126,26 +126,14 @@ func New(backend Backend, cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // answerRequest is the POST /v1/answer body. Exactly one of Columns
-// (single query) or Queries (batch) must be set. Schedule and Planner are
-// per-request planner knobs: schedule picks the batch dispatch order
-// ("fifo", "sjf", "deadline"; empty = server default) and planner
-// overrides the engine's planner levers for this request only.
+// (single query) or Queries (batch) must be set. Schedule picks the batch
+// dispatch order ("fifo", "sjf"; empty = server default). Unknown fields
+// are rejected.
 type answerRequest struct {
-	Columns   []string    `json:"columns,omitempty"`
-	Queries   []queryDTO  `json:"queries,omitempty"`
-	TimeoutMS int64       `json:"timeout_ms,omitempty"`
-	Schedule  string      `json:"schedule,omitempty"`
-	Planner   *plannerDTO `json:"planner,omitempty"`
-}
-
-// plannerDTO mirrors wwt.PlannerOptions on the wire. A present planner
-// object replaces the engine's levers wholesale for the request (absent
-// fields fall back to the lever defaults, not the engine's settings).
-type plannerDTO struct {
-	ElideProbe2      bool    `json:"elide_probe2,omitempty"`
-	ElideConfidence  float64 `json:"elide_confidence,omitempty"`
-	DeadlineDegrade  bool    `json:"deadline_degrade,omitempty"`
-	DegradeMaxTables int     `json:"degrade_max_tables,omitempty"`
+	Columns   []string   `json:"columns,omitempty"`
+	Queries   []queryDTO `json:"queries,omitempty"`
+	TimeoutMS int64      `json:"timeout_ms,omitempty"`
+	Schedule  string     `json:"schedule,omitempty"`
 }
 
 type queryDTO struct {
@@ -164,11 +152,8 @@ type memberDTO struct {
 	Tables     int      `json:"tables"`
 	Relevant   int      `json:"relevant"`
 	UsedProbe2 bool     `json:"used_probe2"`
-	// Degraded reports the planner degraded this member (capped tables,
-	// independent inference) to beat its deadline.
-	Degraded bool   `json:"degraded,omitempty"`
-	TotalUS  int64  `json:"total_us"`
-	Error    string `json:"error,omitempty"`
+	TotalUS    int64    `json:"total_us"`
+	Error      string   `json:"error,omitempty"`
 }
 
 // batchDTO is the batch response: Results is index-aligned with the
@@ -195,7 +180,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var req answerRequest
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorDTO{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -229,15 +216,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		if sched, err = wwt.ParseSchedule(req.Schedule); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorDTO{Error: err.Error()})
 			return
-		}
-	}
-	bp := wwt.BatchPlan{Schedule: sched}
-	if req.Planner != nil {
-		bp.Planner = &wwt.PlannerOptions{
-			ElideProbe2:      req.Planner.ElideProbe2,
-			ElideConfidence:  req.Planner.ElideConfidence,
-			DeadlineDegrade:  req.Planner.DeadlineDegrade,
-			DegradeMaxTables: req.Planner.DegradeMaxTables,
 		}
 	}
 
@@ -274,7 +252,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release(weight)
 
-	br := s.backend.AnswerBatchPlan(r.Context(), queries, s.cfg.Workers, timeout, bp)
+	br := s.backend.AnswerBatchPlan(r.Context(), queries, s.cfg.Workers, timeout, wwt.BatchPlan{Schedule: sched})
 	s.met.recordBatch(br.Timings, time.Now())
 	// Serialize, then hand every member's pooled arena straight back to
 	// the engine: the serving tier never pins arenas across requests.
@@ -323,7 +301,6 @@ func toMemberDTO(res *wwt.Result) memberDTO {
 		Tables:     len(res.Tables),
 		Relevant:   relevant,
 		UsedProbe2: res.UsedProbe2,
-		Degraded:   res.Degraded,
 		TotalUS:    res.Timings.Total().Microseconds(),
 	}
 }
@@ -346,16 +323,18 @@ func errStatus(err error) int {
 // retryAfter derives the 429 backoff from the planner's estimated queue
 // drain: the occupancy at shed time divided into capacity-sized waves,
 // each lasting the decayed average slot-hold time of recent requests
-// (plan.DrainEstimate). The estimate is clamped to [1s, MaxTimeout]; a
-// cold server (no holds observed yet) falls back to the 1s floor.
+// (plan.DrainEstimate). The estimate is capped at MaxTimeout, then
+// floored at 1s — the floor wins, so a sub-second MaxTimeout never
+// advises an immediate retry; a cold server (no holds observed yet) falls
+// back to the 1s floor.
 func (s *Server) retryAfter(occupied, need, capacity int) string {
 	est := plan.DrainEstimate(occupied, need, capacity, s.met.holdAvg())
 	secs := int64(est.Seconds() + 0.999) // ceil: never advise retrying early
-	if secs < 1 {
-		secs = 1
-	}
 	if maxS := int64(s.cfg.MaxTimeout.Seconds()); secs > maxS {
 		secs = maxS
+	}
+	if secs < 1 {
+		secs = 1
 	}
 	return fmt.Sprintf("%d", secs)
 }

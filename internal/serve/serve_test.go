@@ -146,7 +146,7 @@ func TestBatchScheduleSJF(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fifo status = %d (%s)", resp.StatusCode, fifo)
 	}
-	sjfBody := `{"queries": [{"columns": ["country", "currency"]}, {"columns": ["country", "capital"]}], "schedule": "sjf", "planner": {"elide_probe2": false}}`
+	sjfBody := `{"queries": [{"columns": ["country", "currency"]}, {"columns": ["country", "capital"]}], "schedule": "sjf"}`
 	resp, sjf := postJSON(t, ts, sjfBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sjf status = %d (%s)", resp.StatusCode, sjf)
@@ -171,7 +171,8 @@ func TestBatchScheduleSJF(t *testing.T) {
 }
 
 // TestRetryAfterDerivation pins the drain-estimate clamp: cold hold
-// average floors at 1s, long drains cap at MaxTimeout.
+// average floors at 1s, long drains cap at MaxTimeout, and the 1s floor
+// wins over a sub-second MaxTimeout.
 func TestRetryAfterDerivation(t *testing.T) {
 	s := New(testEngine(t), Config{MaxTimeout: 10 * time.Second})
 	if got := s.retryAfter(5, 1, 4); got != "1" {
@@ -184,10 +185,16 @@ func TestRetryAfterDerivation(t *testing.T) {
 	if got := s.retryAfter(400, 1, 4); got != "10" { // clamped to MaxTimeout
 		t.Errorf("long drain: Retry-After = %s, want 10", got)
 	}
+	short := New(testEngine(t), Config{MaxTimeout: 500 * time.Millisecond})
+	short.met.hold.Observe(float64(2 * time.Second))
+	if got := short.retryAfter(400, 1, 4); got != "1" { // floor beats the cap
+		t.Errorf("sub-second MaxTimeout: Retry-After = %s, want 1", got)
+	}
 }
 
-// TestRequestValidation: malformed bodies, empty requests, mixed forms
-// and oversized batches are rejected without reaching the engine.
+// TestRequestValidation: malformed bodies, unknown fields, empty
+// requests, mixed forms and oversized batches are rejected without
+// reaching the engine.
 func TestRequestValidation(t *testing.T) {
 	ts := httptest.NewServer(New(testEngine(t), Config{MaxBatchSize: 2}))
 	defer ts.Close()
@@ -202,6 +209,9 @@ func TestRequestValidation(t *testing.T) {
 		{`{"queries": [{"columns":["a"]},{"columns":["b"]},{"columns":["c"]}]}`, http.StatusRequestEntityTooLarge},
 		{`{"columns": ["the of a"]}`, http.StatusBadRequest}, // engine: no content words
 		{`{"queries": [{"columns":["a"]}], "schedule": "bogus"}`, http.StatusBadRequest},
+		{`{"queries": [{"columns":["a"]}], "schedule": "deadline"}`, http.StatusBadRequest},
+		// An answerable query, rejected only for its unknown field.
+		{`{"columns":["country"],"planner":{}}`, http.StatusBadRequest},
 	} {
 		resp, body := postJSON(t, ts, tc.body)
 		if resp.StatusCode != tc.want {
@@ -398,8 +408,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`wwt_cache_hit_rate{cache="doc_sets"}`,
 		`wwt_cache_misses_total{cache="pair_sims"}`,
 		`wwt_cache_hits_total{cache="norm_cells"}`,
-		"wwt_plan_probe2_elided_total ",
-		"wwt_plan_degraded_total ",
 		"wwt_plan_cost_error ",
 		"wwt_plan_calibrated ",
 		"wwt_plan_queue_drain_seconds ",

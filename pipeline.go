@@ -80,20 +80,11 @@ type queryState struct {
 	labeling core.Labeling
 	answer   *consolidate.Answer
 
-	// Adaptive-planner state. popts are the effective levers for this
-	// query (engine default or batch override); deadline is the context
-	// deadline, captured once (zero when none). postings and tables1 are
-	// the cost features observed on the way through; elided/degraded
-	// record lever outcomes; algUsed is the algorithm actually solved
-	// with (degraded or not), for calibration.
-	popts    PlannerOptions
-	deadline time.Time
+	// Cost features observed on the way through, for the planner's
+	// calibration.
 	postings int
 	scanned  int64 // probe-1 postings actually scored (after skips)
 	tables1  int
-	elided   bool
-	degraded bool
-	algUsed  inference.Algorithm
 }
 
 // pipelineStage names one stage and binds it to its Timings slot. run
@@ -238,18 +229,6 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 		// cost stays untimed, as it always was), consistent with UsedProbe2.
 		return false, nil
 	}
-	// Planner lever (a): when the stage-1 mapping is already confident
-	// enough — some relevant, confidently-seeded table maps EVERY query
-	// column with a stage-1 max-marginal clearing the threshold — the
-	// second probe would only re-find tables the first probe ranked, so
-	// skip it (and read2) entirely. Off by default; the threshold is the
-	// safety knob.
-	if st.popts.ElideProbe2 &&
-		stage1Confidence(m, l, e.Opts.MinConfidentRelevance) >= st.popts.elideConfidence() {
-		st.elided = true
-		e.planElided.Add(1)
-		return false, nil
-	}
 	// Sample rows deterministically per query.
 	h := fnv.New64a()
 	for _, c := range st.query.Columns {
@@ -275,36 +254,6 @@ func (e *Engine) stageProbe2(st *queryState, s *QueryScratch) (bool, error) {
 	st.hits2, _ = e.search(sample, e.Opts.ProbeK)
 	st.probe2Fired = true
 	return true, nil
-}
-
-// stage1Confidence scores how certain the stage-1 (independent) mapping
-// already is: over the relevant tables whose relevance clears minRel (the
-// same gate that seeds the second probe), the best "weakest-link"
-// confidence — the minimum, across the table's columns mapped to query
-// columns, of the stage-1 max-marginal Conf. A table leaving any query
-// column unmapped contributes nothing (the hard mutex constraint makes
-// mapped columns distinct, so counting them detects full coverage).
-// Returns 0 when no table covers every query column.
-func stage1Confidence(m *core.Model, l core.Labeling, minRel float64) float64 {
-	best := 0.0
-	for ti := range m.Conf {
-		if !l.Relevant(ti) || m.Rel[ti] < minRel {
-			continue
-		}
-		minConf, covered := 1.0, 0
-		for c, y := range l.Y[ti] {
-			if y >= 0 && y < m.NumQ {
-				covered++
-				if v := m.Conf[ti][c]; v < minConf {
-					minConf = v
-				}
-			}
-		}
-		if covered == m.NumQ && minConf > best {
-			best = minConf
-		}
-	}
-	return best
 }
 
 // normalizeCell analyzes one sampled body cell through the engine's
@@ -344,54 +293,16 @@ func (e *Engine) stageRead2(st *queryState, s *QueryScratch) (bool, error) {
 }
 
 // stageColumnMap assembles the §3 graphical model over the candidate set,
-// reusing the arena grids the stage-1 build warmed. Planner lever (b)
-// fires here first: a query whose estimated build+infer+consolidate cost
-// overruns its deadline is degraded — candidates capped, inference
-// downgraded at stageInfer — instead of aborting with DeadlineExceeded.
+// reusing the arena grids the stage-1 build warmed.
 func (e *Engine) stageColumnMap(st *queryState, s *QueryScratch) (bool, error) {
-	if e.overDeadline(st, true) {
-		st.degraded = true
-		e.planDegraded.Add(1)
-		if limit := st.popts.degradeMaxTables(); len(st.tables) > limit {
-			st.tables = st.tables[:limit]
-		}
-	}
 	st.model = e.builder().BuildWith(st.query.Columns, st.tables, &s.build)
 	return true, nil
 }
 
-// stageInfer runs the configured collective inference algorithm (§4). A
-// degraded query — marked at stageColumnMap, or here when the build left
-// too little budget for the collective solve — falls back to
-// inference.Degrade's cheap algorithm.
+// stageInfer runs the configured collective inference algorithm (§4).
 func (e *Engine) stageInfer(st *queryState, s *QueryScratch) (bool, error) {
-	alg := e.Opts.Algorithm
-	if !st.degraded && e.overDeadline(st, false) {
-		st.degraded = true
-		e.planDegraded.Add(1)
-	}
-	if st.degraded {
-		alg = inference.Degrade(alg)
-	}
-	st.algUsed = alg
-	st.labeling = inference.SolveScratch(st.model, alg, &s.infer)
+	st.labeling = inference.SolveScratch(st.model, e.Opts.Algorithm, &s.infer)
 	return true, nil
-}
-
-// overDeadline reports whether planner lever (b) should degrade the query
-// now: the lever is on, the query has a deadline, and the estimated cost
-// of the remaining tail stages (scaled by the headroom factor) exceeds
-// the remaining budget. A cold estimator predicts 0 and never degrades.
-func (e *Engine) overDeadline(st *queryState, includeBuild bool) bool {
-	if !st.popts.DeadlineDegrade || st.deadline.IsZero() || e.planner == nil {
-		return false
-	}
-	tail := e.planner.EstimateTail(len(st.tables), int(e.Opts.Algorithm), includeBuild)
-	if tail <= 0 {
-		return false
-	}
-	need := time.Duration(float64(tail) * st.popts.degradeHeadroom())
-	return need > time.Until(st.deadline)
 }
 
 // stageConsolidate merges and ranks the relevant tables' rows (§2.2.3).
@@ -409,7 +320,7 @@ func (e *Engine) stageConsolidate(st *queryState, s *QueryScratch) (bool, error)
 func (e *Engine) Candidates(q Query, tm *Timings) ([]*wtable.Table, bool, error) {
 	s := e.getScratch()
 	defer e.putScratch(s)
-	st := &queryState{query: q, popts: e.Opts.Planner}
+	st := &queryState{query: q}
 	if err := e.runStages(nil, probePipeline, st, s, tm); err != nil {
 		return nil, false, err
 	}
@@ -439,32 +350,18 @@ func (e *Engine) AnswerCtx(ctx context.Context, q Query) (*Result, error) {
 	return res, nil
 }
 
-// answer drives the full stage list with the given arena under the
-// engine's default planner levers; the returned Result owns the arena. A
-// nil ctx disables cancellation checks.
+// answer drives the full stage list with the given arena; the returned
+// Result owns the arena. A nil ctx disables cancellation checks. Every
+// successfully answered query feeds its observed stage timings back into
+// the cost estimator — calibration never changes an answer.
 func (e *Engine) answer(ctx context.Context, q Query, s *QueryScratch) (*Result, error) {
-	return e.answerPlan(ctx, q, s, e.Opts.Planner)
-}
-
-// answerPlan is answer with explicit planner levers (batch requests can
-// override the engine default per call). Every successfully answered
-// query feeds its observed stage timings back into the cost estimator —
-// calibration is observability-only and never changes an answer.
-func (e *Engine) answerPlan(ctx context.Context, q Query, s *QueryScratch, popts PlannerOptions) (*Result, error) {
 	res := &Result{engine: e, scratch: s}
-	st := &queryState{query: q, popts: popts}
-	if ctx != nil {
-		if d, ok := ctx.Deadline(); ok {
-			st.deadline = d
-		}
-	}
+	st := &queryState{query: q}
 	if err := e.runStages(ctx, answerPipeline, st, s, &res.Timings); err != nil {
 		return nil, err
 	}
 	res.Tables = st.tables
 	res.UsedProbe2 = st.probe2Fired
-	res.Probe2Elided = st.elided
-	res.Degraded = st.degraded
 	res.Model = st.model
 	res.Labeling = st.labeling
 	res.Answer = st.answer
@@ -483,7 +380,7 @@ func (e *Engine) observePlan(st *queryState, tm *Timings) {
 		PostingsScanned: st.scanned,
 		Tables1:         st.tables1,
 		Tables:          len(st.tables),
-		Alg:             int(st.algUsed),
+		Alg:             int(e.Opts.Algorithm),
 		Probe2Ran:       st.probe2Fired,
 		Probe1:          tm.Probe1,
 		Read1:           tm.Read1,

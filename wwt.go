@@ -46,80 +46,6 @@ type Options struct {
 	MinConfidentRelevance float64
 	// Consolidate options.
 	Consolidate consolidate.Options
-	// Planner configures the adaptive query planner's levers. The zero
-	// value disables every lever: the pipeline runs exactly as if the
-	// planner did not exist (pinned by TestPlannerOffBitIdentical). Cost
-	// calibration itself always runs — it is observability-only and never
-	// changes an answer.
-	Planner PlannerOptions
-}
-
-// PlannerOptions are the adaptive planner's levers (see internal/plan for
-// the cost model). Each lever is individually togglable and off by
-// default; with all levers off the query path is bit-identical to a
-// planner-less engine.
-type PlannerOptions struct {
-	// ElideProbe2 skips the second content-overlap probe (and its read)
-	// when the stage-1 mapping confidence clears ElideConfidence: every
-	// query column is mapped by some confident relevant table with a
-	// stage-1 max-marginal of at least the threshold. Elision is recorded
-	// in Result.Probe2Elided.
-	ElideProbe2 bool
-	// ElideConfidence is the stage-1 confidence threshold for ElideProbe2
-	// (0 means DefaultElideConfidence). Raising it makes elision rarer and
-	// safer. Stage-1 confidences are softmaxed max-marginals, so their
-	// ceiling depends on the query width and potential scale; the default
-	// sits above the ceiling observed on the evaluation corpus, making
-	// elision answer-preserving there by construction. Lowering the
-	// threshold trades recall for latency: an elided answer can lose rows
-	// that only second-probe tables contribute, but never gains rows the
-	// full pipeline would not produce.
-	ElideConfidence float64
-	// DeadlineDegrade degrades a query that is about to overrun its
-	// context deadline — capping candidate tables at DegradeMaxTables and
-	// falling back to independent inference — instead of letting it abort
-	// with DeadlineExceeded. Degradation is recorded in Result.Degraded.
-	// It requires a calibrated estimator; cold engines never degrade.
-	DeadlineDegrade bool
-	// DegradeMaxTables caps the candidate-table count of a degraded query
-	// (0 means DefaultDegradeMaxTables).
-	DegradeMaxTables int
-	// DegradeHeadroom scales the estimated remaining cost before
-	// comparing it to the remaining deadline budget (0 means
-	// DefaultDegradeHeadroom; larger degrades earlier).
-	DegradeHeadroom float64
-}
-
-// Planner lever defaults (used when the corresponding PlannerOptions
-// field is zero).
-const (
-	DefaultElideConfidence  = 0.98
-	DefaultDegradeMaxTables = 8
-	DefaultDegradeHeadroom  = 1.5
-)
-
-// elideConfidence resolves the effective elision threshold.
-func (p PlannerOptions) elideConfidence() float64 {
-	if p.ElideConfidence > 0 {
-		return p.ElideConfidence
-	}
-	return DefaultElideConfidence
-}
-
-// degradeMaxTables resolves the effective degraded-table cap.
-func (p PlannerOptions) degradeMaxTables() int {
-	if p.DegradeMaxTables > 0 {
-		return p.DegradeMaxTables
-	}
-	return DefaultDegradeMaxTables
-}
-
-// degradeHeadroom resolves the effective degradation headroom factor.
-func (p PlannerOptions) degradeHeadroom() float64 {
-	if p.DegradeHeadroom > 0 {
-		return p.DegradeHeadroom
-	}
-	return DefaultDegradeHeadroom
 }
 
 // Schedule selects the dispatch order of batch members on the worker
@@ -138,11 +64,6 @@ const (
 	// latency. On a cold estimator all estimates are 0 and SJF degenerates
 	// to FIFO.
 	ScheduleSJF
-	// ScheduleDeadline dispatches members in ascending slack (per-member
-	// deadline budget minus estimated cost), promoting the members
-	// closest to blowing their deadline. With a uniform budget this is
-	// descending estimated cost (longest first).
-	ScheduleDeadline
 )
 
 // String names the schedule as accepted by ParseSchedule.
@@ -152,24 +73,19 @@ func (s Schedule) String() string {
 		return "fifo"
 	case ScheduleSJF:
 		return "sjf"
-	case ScheduleDeadline:
-		return "deadline"
 	}
 	return fmt.Sprintf("Schedule(%d)", int(s))
 }
 
-// ParseSchedule parses a schedule name ("fifo", "sjf", "deadline"; ""
-// means FIFO).
+// ParseSchedule parses a schedule name ("fifo", "sjf"; "" means FIFO).
 func ParseSchedule(s string) (Schedule, error) {
 	switch s {
 	case "", "fifo":
 		return ScheduleFIFO, nil
 	case "sjf":
 		return ScheduleSJF, nil
-	case "deadline":
-		return ScheduleDeadline, nil
 	}
-	return ScheduleFIFO, fmt.Errorf("wwt: unknown schedule %q (want fifo, sjf or deadline)", s)
+	return ScheduleFIFO, fmt.Errorf("wwt: unknown schedule %q (want fifo or sjf)", s)
 }
 
 // DefaultOptions returns the paper-faithful configuration.
@@ -260,15 +176,7 @@ type Result struct {
 	Tables     []*wtable.Table // candidate tables, in model order
 	Model      *core.Model
 	UsedProbe2 bool
-	// Probe2Elided reports that the planner skipped the second probe
-	// because the stage-1 mapping already cleared the confidence
-	// threshold (UsedProbe2 is then false).
-	Probe2Elided bool
-	// Degraded reports that the planner degraded this query (capped
-	// candidate tables, independent inference) to beat its deadline
-	// instead of aborting with DeadlineExceeded.
-	Degraded bool
-	Timings  Timings
+	Timings    Timings
 
 	// The pooled arena backing Model, owned by this result until Release.
 	engine  *Engine
@@ -315,12 +223,10 @@ type Engine struct {
 	norm    *text.NormCache
 	scratch sync.Pool // *QueryScratch
 
-	// Adaptive-planner state: the online-calibrated cost estimator (see
-	// internal/plan) plus cumulative lever counters. planner is nil only
-	// on zero-value engines, where every planner path is skipped.
-	planner      *plan.Estimator
-	planElided   atomic.Uint64
-	planDegraded atomic.Uint64
+	// planner is the online-calibrated cost estimator (see internal/plan)
+	// behind SJF dispatch, EstimateCost and the cost-error gauge. It is
+	// nil only on zero-value engines, where every planner path is skipped.
+	planner *plan.Estimator
 
 	// Probe-pruning counters: cumulative block-max and shard-pruning
 	// outcomes across every index probe this engine ran (both pipeline
@@ -449,13 +355,9 @@ func (e *Engine) CacheStats() EngineCacheStats {
 	return st
 }
 
-// PlanStats is a point-in-time snapshot of the adaptive planner: how many
-// queries each lever touched, and how well the cost model predicts.
+// PlanStats is a point-in-time snapshot of the planner's cost model and
+// the probe-pruning counters.
 type PlanStats struct {
-	// Probe2Elided counts queries whose second probe the planner skipped.
-	Probe2Elided uint64
-	// Degraded counts queries the planner degraded to beat a deadline.
-	Degraded uint64
 	// CostError is the decayed mean relative error of the cost model's
 	// own predictions (|estimated−actual|/actual; 0 until calibrated).
 	CostError float64
@@ -475,12 +377,11 @@ type PlanStats struct {
 	ShardPrunes       []uint64
 }
 
-// PlanStats snapshots the planner counters and cost-model quality. Safe
-// for concurrent use; zero-value engines report all zeros.
+// PlanStats snapshots the cost-model quality and probe-pruning
+// counters. Safe for concurrent use; zero-value engines report all
+// zeros.
 func (e *Engine) PlanStats() PlanStats {
 	st := PlanStats{
-		Probe2Elided:       e.planElided.Load(),
-		Degraded:           e.planDegraded.Load(),
 		ProbeBlocksSkipped: uint64(e.probeBlocksSkipped.Load()),
 		ProbeBlocksTotal:   uint64(e.probeBlocksTotal.Load()),
 		ProbeShardsPruned:  e.probeShardsPruned.Load(),
