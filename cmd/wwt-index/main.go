@@ -4,10 +4,10 @@
 // header/context detection, and persist the boosted 3-field index and the
 // table store.
 //
-// Alongside the gob snapshot it writes the sharded flat index
-// (docs.wwt + postings-NNN.wwt) that wwt-serve memory-maps for O(1)
-// startup; -shards controls how many postings shards the terms are
-// hashed across.
+// The index is written in its one persisted form, the sharded flat index
+// (docs.wwt + postings-NNN.wwt) that wwt and wwt-serve memory-map for
+// O(1) startup, next to the table store (store.gob); -shards controls how
+// many postings shards the terms are hashed across.
 //
 //	wwt-index -crawl ./crawl -out ./idx -shards 4
 package main
@@ -32,18 +32,14 @@ type manifestEntry struct {
 
 func main() {
 	crawl := flag.String("crawl", "crawl", "crawl directory (from wwt-corpus)")
-	out := flag.String("out", "idx", "output directory for index.gob, store.gob and the flat shard files")
+	out := flag.String("out", "idx", "output directory for the flat index files (docs.wwt, postings-NNN.wwt) and store.gob")
 	shards := flag.Int("shards", 1, "postings shards for the flat index (terms are hashed across shards)")
 	flatVersion := flag.Int("flat-version", 2, "flat index format version: 2 (WWTFLT02, block-max postings) or 1 (WWTFLT01, for older readers)")
-	blockSize := flag.Int("block-size", index.DefaultBlockSize, "postings per block-max block (v2 only; must be > 0)")
 	flag.Parse()
-	// Validate the flat-format options before the (long) extract+build run,
+	// Validate the flat format version before the (long) extract+build run,
 	// with the same versioned precision the writer itself enforces.
 	if *flatVersion != 1 && *flatVersion != 2 {
 		fatal(fmt.Errorf("flat format version %d not supported, this build writes 1 (WWTFLT01) and 2 (WWTFLT02)", *flatVersion))
-	}
-	if *flatVersion == 2 && *blockSize <= 0 {
-		fatal(fmt.Errorf("flat format v2 (WWTFLT02) requires a positive -block-size, got %d", *blockSize))
 	}
 
 	start := time.Now()
@@ -81,14 +77,11 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	if err := ix.Save(filepath.Join(*out, "index.gob")); err != nil {
-		fatal(err)
-	}
-	if err := st.Save(filepath.Join(*out, "store.gob")); err != nil {
+	if err := st.Save(filepath.Join(*out, index.StoreFileName)); err != nil {
 		fatal(err)
 	}
 	flatStart := time.Now()
-	wopts := index.WriteShardedOptions{FormatVersion: *flatVersion, BlockSize: *blockSize}
+	wopts := index.WriteShardedOptions{FormatVersion: *flatVersion}
 	if err := index.WriteShardedWith(*out, index.NewSearcher(ix), *shards, wopts); err != nil {
 		fatal(err)
 	}

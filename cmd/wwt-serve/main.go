@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"os"
 	"os/signal"
@@ -28,9 +27,7 @@ import (
 	"time"
 
 	"wwt"
-	"wwt/internal/index"
 	"wwt/internal/inference"
-	"wwt/internal/plan"
 	"wwt/internal/serve"
 )
 
@@ -84,11 +81,18 @@ func main() {
 		coeffsPath = filepath.Join(*idxDir, "plan-coeffs.json")
 	}
 
-	eng, form, tables, err := openBackend(*idxDir, &opts)
+	// The live segmented engine: manifest-aware, memory-mapped, POST
+	// /v1/ingest enabled.
+	eng, err := wwt.OpenLive(*idxDir, &opts)
 	if err != nil {
 		fatal(err)
 	}
 	defer eng.Close()
+	info := eng.Info()
+	form := "flat index"
+	if info.Mmapped {
+		form = "flat mmap index"
+	}
 
 	// Warm the cost model from the last run's calibration, when a sidecar
 	// is present; a missing file just starts cold. A corrupt or
@@ -125,7 +129,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("wwt-serve: %d tables (%s), listening on %s\n", tables, form, *addr)
+		fmt.Printf("wwt-serve: %d tables (%s, %d shard(s), live generation %d, %d segment(s)), listening on %s\n",
+			info.Docs, form, info.Shards, info.Generation, info.Segments, *addr)
 		errc <- hs.ListenAndServe()
 	}()
 
@@ -156,44 +161,6 @@ func main() {
 		}
 		fmt.Println("wwt-serve: drained, bye")
 	}
-}
-
-// engineHandle is what main needs from either engine form: the serving
-// backend plus planner-sidecar and shutdown hooks.
-type engineHandle interface {
-	serve.Backend
-	Planner() *plan.Estimator
-	Close() error
-}
-
-// openBackend prefers the live segmented engine over the flat index
-// (manifest-aware, memory-mapped, POST /v1/ingest enabled), falling back
-// to the frozen gob snapshot when the directory predates wwt-index's
-// flat output. It returns the engine, a human-readable description of
-// which form loaded, and the serving table count.
-func openBackend(dir string, opts *wwt.Options) (engineHandle, string, int, error) {
-	le, err := wwt.OpenLive(dir, opts)
-	if err == nil {
-		info := le.Info()
-		form := fmt.Sprintf("flat index, %d shard(s)", info.Shards)
-		if info.Mmapped {
-			form = fmt.Sprintf("flat mmap index, %d shard(s)", info.Shards)
-		}
-		form += fmt.Sprintf(", live generation %d, %d segment(s)", info.Generation, info.Segments)
-		return le, form, info.Docs, nil
-	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return nil, "", 0, err
-	}
-	st, err := index.LoadStore(filepath.Join(dir, "store.gob"))
-	if err != nil {
-		return nil, "", 0, err
-	}
-	ix, err := index.Load(filepath.Join(dir, "index.gob"))
-	if err != nil {
-		return nil, "", 0, err
-	}
-	return wwt.NewEngineFrom(ix, st, opts), "gob index", st.Len(), nil
 }
 
 func fatal(err error) {

@@ -1,4 +1,5 @@
-// Command wwt answers column-keyword queries against a persisted index:
+// Command wwt answers column-keyword queries against a flat index
+// directory written by wwt-index (opened read-only through wwt.OpenLive):
 //
 //	wwt -idx ./idx "name of explorers | nationality | areas explored"
 //	wwt -idx ./idx -batch queries.txt -workers 8
@@ -16,11 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"wwt"
-	"wwt/internal/index"
 	"wwt/internal/inference"
 )
 
@@ -42,7 +41,7 @@ func main() {
 		os.Exit(2)
 	}
 	// Validate the single query up front: a content-free query must fail
-	// before the (potentially large) index is loaded.
+	// before the index is opened.
 	var cols []string
 	if single {
 		if cols = parseColumns(flag.Arg(0)); len(cols) == 0 {
@@ -51,14 +50,6 @@ func main() {
 		}
 	}
 
-	ix, err := index.Load(filepath.Join(*idxDir, "index.gob"))
-	if err != nil {
-		fatal(err)
-	}
-	st, err := index.LoadStore(filepath.Join(*idxDir, "store.gob"))
-	if err != nil {
-		fatal(err)
-	}
 	opts := wwt.DefaultOptions()
 	switch strings.ToLower(*alg) {
 	case "none":
@@ -78,7 +69,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := wwt.NewEngineFrom(ix, st, &opts)
+	eng, err := wwt.OpenLive(*idxDir, &opts)
+	if err != nil {
+		fatal(err)
+	}
+	defer eng.Close()
 
 	if !single {
 		runBatch(eng, *batchFile, *workers, sched)
@@ -142,7 +137,7 @@ func parseColumns(line string) []string {
 
 // runBatch answers every query in the file as one AnswerBatch and prints
 // per-query summaries plus the aggregate stage split and throughput.
-func runBatch(eng *wwt.Engine, path string, workers int, sched wwt.Schedule) {
+func runBatch(eng *wwt.LiveEngine, path string, workers int, sched wwt.Schedule) {
 	f := os.Stdin
 	if path != "-" {
 		var err error

@@ -75,21 +75,21 @@
 // SearchStats exposes per-probe counters (ProbeStats) for the
 // wwt_probe_* metrics and the planner's scanned-fraction feature.
 //
-// # Persistence: gob snapshots and the flat sharded index
+// # Persistence: the flat sharded index and the table store
 //
-// Two on-disk forms exist side by side:
-//
-//   - index.gob / store.gob — encoding/gob snapshots of the build-time
-//     Index and the table Store, each prefixed with an 8-byte magic
-//     ("WWTIXG01" / "WWTSTG01") and a uint32 little-endian format version
-//     so stale or mixed-up files fail fast with a precise error. Loading
-//     the index gob decodes every posting map into memory (O(corpus)).
+// The index has one persisted form:
 //
 //   - docs.wwt + postings-NNN.wwt — the flat sharded index written by
-//     WriteSharded / WriteShardedWith and opened by OpenSharded. Opening
-//     is O(1) in corpus size: the files are memory-mapped (page-cache
-//     backed) and the searcher's arrays alias the mapping directly; no
-//     maps are built and no bytes are copied on the fast path.
+//     WriteSharded / WriteShardedWith and opened by OpenSharded (or, with
+//     its segments, OpenMultiSnapshot). Opening is O(1) in corpus size:
+//     the files are memory-mapped (page-cache backed) and the searcher's
+//     arrays alias the mapping directly; no maps are built and no bytes
+//     are copied on the fast path.
+//
+//   - store.gob — the table Store beside it, an encoding/gob snapshot
+//     prefixed with an 8-byte magic ("WWTSTG01") and a uint32
+//     little-endian format version so stale or mixed-up files fail fast
+//     with a precise error.
 //
 // # Flat file layout (format versions 1 and 2)
 //

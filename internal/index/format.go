@@ -1,17 +1,17 @@
 package index
 
-// On-disk formats. Two families exist:
+// On-disk formats. The index has one persisted form; the table store
+// beside it is a gob file:
 //
-//   - The gob snapshots (index.gob / store.gob) keep the full mutable Index
-//     and the table Store. They are decode-on-load and now carry an 8-byte
+//   - The flat sharded index (docs.wwt + postings-NNN.wwt) is the only
+//     persisted index: a versioned, mmap-friendly layout of the frozen
+//     searcher's CSR arrays. Opening it is O(1) page mapping plus header
+//     validation — no decode — with a portable read-into-memory fallback
+//     where mmap is unavailable.
+//
+//   - The table store (store.gob) is decode-on-load and carries an 8-byte
 //     magic plus a uint32 format version so a stale or foreign file fails
 //     with a clear error instead of a decoder error deep in the stack.
-//
-//   - The flat sharded index (docs.wwt + postings-NNN.wwt) is the serving
-//     form: a versioned, mmap-friendly layout of the frozen searcher's CSR
-//     arrays. Opening it is O(1) page mapping plus header validation — no
-//     decode — with a portable read-into-memory fallback where mmap is
-//     unavailable.
 //
 // Flat file layout (all integers little-endian, sections 8-byte aligned):
 //
@@ -47,14 +47,14 @@ import (
 	"unsafe"
 )
 
-// Magic numbers and versions. The gob magics differ per file kind so that
-// handing a store to Load (or vice versa) is diagnosed precisely. Flat
-// version 2 (WWTFLT02) extends version 1 with block-max posting summaries;
-// both open through the same reader.
+// Magic numbers and versions. The table store's gob magic differs from the
+// flat magics so that handing a store to OpenSharded (or a flat file to
+// LoadStore) is diagnosed precisely. Flat version 2 (WWTFLT02) extends
+// version 1 with block-max posting summaries; both open through the same
+// reader.
 const (
 	flatMagic     = "WWTFLT01"
 	flatMagicV2   = "WWTFLT02"
-	gobIndexMagic = "WWTIXG01"
 	gobStoreMagic = "WWTSTG01"
 
 	flatFormatVersion  = 1
@@ -392,10 +392,7 @@ func openFlatFile(path string, noMmap bool) (*flatFile, error) {
 	}
 	got := string(data[0:8])
 	if got != flatMagic && got != flatMagicV2 {
-		switch got {
-		case gobIndexMagic:
-			return fail(fmt.Errorf("index open %s: this is a gob index snapshot (use index.Load), not a flat index file", path))
-		case gobStoreMagic:
+		if got == gobStoreMagic {
 			return fail(fmt.Errorf("index open %s: this is a gob table store (use index.LoadStore), not a flat index file", path))
 		}
 		return fail(fmt.Errorf("index open %s: bad magic %q — not a wwt flat index file (foreign data, or written by an incompatible build); rebuild with wwt-index", path, got))

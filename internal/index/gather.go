@@ -35,7 +35,7 @@ import "math"
 // winners' scores themselves are always the exact canonical-order sums.
 
 // DefaultBlockSize is the posting-block width NewSearcher and the v2 writer
-// use unless told otherwise: 128 postings ≈ 1KiB of doc+weight data per
+// use (the reader accepts any positive width a file header declares): 128 postings ≈ 1KiB of doc+weight data per
 // block, giving summaries 1/128 the size of the postings they bound.
 const DefaultBlockSize = 128
 

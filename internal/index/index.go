@@ -39,7 +39,7 @@ func (f Field) String() string {
 	return fmt.Sprintf("field(%d)", int(f))
 }
 
-// Posting is one (document, term-frequency) pair. Exported for gob.
+// Posting is one (document, term-frequency) pair.
 type Posting struct {
 	Doc int32
 	TF  float32

@@ -102,7 +102,7 @@ func openMulti(dirs []string, noMmap bool) (*MultiSearcher, error) {
 // base-only manifest of a plain frozen index directory) as one
 // MultiSearcher, and returns the manifest it opened. A directory holding
 // neither a manifest nor a flat index fails with an error wrapping
-// fs.ErrNotExist, so callers can fall back to the gob path.
+// fs.ErrNotExist.
 func OpenMultiSnapshot(dir string) (*MultiSearcher, Manifest, error) {
 	return openMultiSnapshot(dir, false)
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wwt/internal/wtable"
@@ -225,9 +226,9 @@ func TestMultiSearcherDocSets(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
-	// Neither manifest nor flat index: fs.ErrNotExist for the gob fallback.
-	if _, err := SnapshotManifest(dir); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("empty dir: err = %v, want fs.ErrNotExist", err)
+	// Neither manifest nor flat index: fs.ErrNotExist, naming the builder.
+	if _, err := SnapshotManifest(dir); !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "wwt-index") {
+		t.Fatalf("empty dir: err = %v, want fs.ErrNotExist naming wwt-index", err)
 	}
 
 	// A bare flat index gets the implicit base-only manifest.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -223,26 +222,6 @@ func testDocSetEquivalence(t *testing.T, shardCounts []int) {
 				}
 			}
 		})
-	}
-}
-
-// TestSearcherAfterGobRoundTrip: a searcher frozen from a loaded index must
-// behave like one frozen from the original.
-func TestSearcherAfterGobRoundTrip(t *testing.T) {
-	ix, _ := buildRandCorpus(t, 321, 25)
-	path := filepath.Join(t.TempDir(), "index.gob")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSearcher(loaded)
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 30; i++ {
-		q := randQuery(r)
-		sameHits(t, ix.Search(q, 10), s.Search(q, 10), "post-gob search")
 	}
 }
 

@@ -118,7 +118,7 @@ func WriteManifest(dir string, m Manifest) error {
 // SnapshotManifest returns dir's committed manifest, or the implicit
 // base-only manifest (generation 0, segment ".") when none exists and the
 // directory holds a flat index. A directory with neither fails with an
-// error wrapping fs.ErrNotExist so callers can fall back to the gob path.
+// error wrapping fs.ErrNotExist that names wwt-index.
 func SnapshotManifest(dir string) (Manifest, error) {
 	m, ok, err := ReadManifest(dir)
 	if err != nil {
@@ -128,7 +128,7 @@ func SnapshotManifest(dir string) (Manifest, error) {
 		return m, nil
 	}
 	if _, err := os.Stat(filepath.Join(dir, DocsFileName)); err != nil {
-		return m, fmt.Errorf("index open %s: no manifest and no flat index: %w", dir, err)
+		return m, fmt.Errorf("index open %s: no manifest and no flat index (%w); build one with wwt-index", dir, err)
 	}
 	return Manifest{Version: manifestFormatVersion, Segments: []string{"."}}, nil
 }

@@ -237,9 +237,6 @@ type WriteShardedOptions struct {
 	// summaries, readable by older builds), 2 writes WWTFLT02 (block-max
 	// postings). 0 means 2.
 	FormatVersion int
-	// BlockSize is the v2 posting-block width. 0 means DefaultBlockSize;
-	// an explicit non-positive value is rejected. Ignored for version 1.
-	BlockSize int
 }
 
 // maxSectionInt32 bounds per-field posting counts: the CSR offsets (and
@@ -257,8 +254,9 @@ func WriteSharded(dir string, s *ShardedSearcher, nShards int) error {
 	return WriteShardedWith(dir, s, nShards, WriteShardedOptions{})
 }
 
-// WriteShardedWith is WriteSharded with an explicit format version and
-// block size. Invalid options fail before any file is written.
+// WriteShardedWith is WriteSharded with an explicit format version. A v2
+// file always carries DefaultBlockSize-wide posting blocks. Invalid
+// options fail before any file is written.
 func WriteShardedWith(dir string, s *ShardedSearcher, nShards int, opts WriteShardedOptions) error {
 	if nShards < 1 {
 		nShards = 1
@@ -273,15 +271,6 @@ func WriteShardedWith(dir string, s *ShardedSearcher, nShards int, opts WriteSha
 	if version != flatFormatVersion && version != flatFormatVersion2 {
 		return fmt.Errorf("index write: flat format version %d not supported, this build writes %d (%s) and %d (%s)",
 			version, flatFormatVersion, flatMagic, flatFormatVersion2, flatMagicV2)
-	}
-	blockSize := opts.BlockSize
-	if version == flatFormatVersion2 {
-		if blockSize == 0 {
-			blockSize = DefaultBlockSize
-		}
-		if blockSize <= 0 {
-			return fmt.Errorf("index write: flat format v2 (%s) requires a positive block size, got %d", flatMagicV2, opts.BlockSize)
-		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("index write: %w", err)
@@ -329,9 +318,9 @@ func WriteShardedWith(dir string, s *ShardedSearcher, nShards int, opts WriteSha
 		}
 		shardBlockSize := 0
 		if version == flatFormatVersion2 {
-			shardBlockSize = blockSize
-			if sh.blockSize != blockSize {
-				sh.computeBlocks(blockSize)
+			shardBlockSize = DefaultBlockSize
+			if sh.blockSize != DefaultBlockSize {
+				sh.computeBlocks(DefaultBlockSize)
 			}
 			for f := 0; f < int(numFields); f++ {
 				secs = append(secs,
@@ -356,8 +345,7 @@ func WriteShardedWith(dir string, s *ShardedSearcher, nShards int, opts WriteSha
 // mmap is unavailable) and only headers are validated — no decode, no
 // map building. The returned searcher's strings and arrays alias the
 // mappings; results must not outlive Close. A directory without a flat
-// index fails with an error wrapping fs.ErrNotExist, so callers can fall
-// back to the gob path.
+// index fails with an error wrapping fs.ErrNotExist.
 func OpenSharded(dir string) (*ShardedSearcher, error) {
 	return openSharded(dir, false)
 }

@@ -10,8 +10,8 @@ import (
 	"wwt/internal/wtable"
 )
 
-// benchCorpusSize keeps open-time benchmarks meaningful (gob decode cost
-// scales with the corpus; mmap open does not) without slowing the suite.
+// benchCorpusSize keeps open-time benchmarks meaningful without slowing
+// the suite.
 const benchCorpusSize = 1500
 
 func benchSearcher(b *testing.B) *ShardedSearcher {
@@ -26,42 +26,6 @@ func benchSearcher(b *testing.B) *ShardedSearcher {
 		b.Fatal(err)
 	}
 	return NewSearcher(ix)
-}
-
-func benchGobPath(b *testing.B, s *ShardedSearcher) string {
-	b.Helper()
-	r := rand.New(rand.NewSource(2012))
-	tables := make([]*wtable.Table, benchCorpusSize)
-	for i := range tables {
-		tables[i] = randDocTable(r, i)
-	}
-	ix, err := Build(tables)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "index.gob")
-	if err := ix.Save(path); err != nil {
-		b.Fatal(err)
-	}
-	return path
-}
-
-// BenchmarkOpenIndexGob measures the legacy decode-on-load path: gob
-// decode plus freezing the searcher, both O(corpus).
-func BenchmarkOpenIndexGob(b *testing.B) {
-	s := benchSearcher(b)
-	path := benchGobPath(b, s)
-	if st, err := os.Stat(path); err == nil {
-		b.SetBytes(st.Size())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix, err := Load(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = NewSearcher(ix)
-	}
 }
 
 // BenchmarkOpenIndexMmap measures the flat path: page-map the files and

@@ -129,7 +129,7 @@ func expectOpenError(t *testing.T, dir, want string) {
 
 // TestOpenShardedErrors: every corruption mode must fail with a precise,
 // actionable message — and a directory without a flat index must wrap
-// fs.ErrNotExist so callers can fall back to the gob path.
+// fs.ErrNotExist.
 func TestOpenShardedErrors(t *testing.T) {
 	t.Run("missing", func(t *testing.T) {
 		_, err := OpenSharded(t.TempDir())
@@ -176,11 +176,10 @@ func TestOpenShardedErrors(t *testing.T) {
 	})
 	t.Run("gob file as flat index", func(t *testing.T) {
 		dir, _ := writeShardedDir(t, 1)
-		ix, _ := buildRandCorpus(t, 1, 3)
-		if err := ix.Save(filepath.Join(dir, DocsFileName)); err != nil {
+		if err := NewStore().Save(filepath.Join(dir, DocsFileName)); err != nil {
 			t.Fatal(err)
 		}
-		expectOpenError(t, dir, "gob index snapshot")
+		expectOpenError(t, dir, "gob table store")
 	})
 	t.Run("kind mix-up", func(t *testing.T) {
 		dir, _ := writeShardedDir(t, 1)
@@ -271,9 +270,6 @@ func TestWriteShardedWithErrors(t *testing.T) {
 	t.Run("unsupported version", func(t *testing.T) {
 		expectWriteError(t, WriteShardedOptions{FormatVersion: 3}, "version 3 not supported")
 	})
-	t.Run("negative block size", func(t *testing.T) {
-		expectWriteError(t, WriteShardedOptions{BlockSize: -4}, "requires a positive block size, got -4")
-	})
 	t.Run("postings over section bound", func(t *testing.T) {
 		old := maxSectionInt32
 		maxSectionInt32 = 8 // force the int32 section-offset bound down
@@ -282,24 +278,34 @@ func TestWriteShardedWithErrors(t *testing.T) {
 	})
 }
 
-// TestGobHeaderErrors: the gob snapshots' magic/version headers must
+// TestGobHeaderErrors: the table store's magic/version header must
 // diagnose mix-ups and stale files precisely.
 func TestGobHeaderErrors(t *testing.T) {
 	dir := t.TempDir()
-	ix, tables := buildRandCorpus(t, 7, 5)
+	_, tables := buildRandCorpus(t, 7, 5)
 	st := NewStore()
 	for _, tb := range tables {
 		if err := st.Add(tb); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ixPath := filepath.Join(dir, "index.gob")
 	stPath := filepath.Join(dir, "store.gob")
-	if err := ix.Save(ixPath); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Save(stPath); err != nil {
 		t.Fatal(err)
+	}
+	stData, err := os.ReadFile(stPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// loadBytes writes data to a fresh file and loads it as a store.
+	loadBytes := func(t *testing.T, name string, data []byte) error {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadStore(path)
+		return err
 	}
 
 	expect := func(t *testing.T, err error, want string) {
@@ -313,60 +319,32 @@ func TestGobHeaderErrors(t *testing.T) {
 	}
 
 	t.Run("round trip", func(t *testing.T) {
-		if _, err := Load(ixPath); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := LoadStore(stPath); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Run("store to Load", func(t *testing.T) {
-		_, err := Load(stPath)
-		expect(t, err, "wwt table store")
-	})
 	t.Run("index to LoadStore", func(t *testing.T) {
-		_, err := LoadStore(ixPath)
-		expect(t, err, "wwt index snapshot")
+		// An index snapshot header ("WWTIXG01") is foreign data to LoadStore.
+		data := append([]byte("WWTIXG01"), stData[8:]...)
+		expect(t, loadBytes(t, "ix.gob", data), "bad magic")
 	})
 	t.Run("flat file to Load", func(t *testing.T) {
 		flatDir, _ := writeShardedDir(t, 1)
-		_, err := Load(filepath.Join(flatDir, DocsFileName))
+		_, err := LoadStore(filepath.Join(flatDir, DocsFileName))
 		expect(t, err, "flat sharded index")
 	})
 	t.Run("legacy headerless gob", func(t *testing.T) {
 		// A pre-versioning snapshot starts with gob's own framing, not our
 		// magic.
-		legacy := filepath.Join(dir, "legacy.gob")
-		data, err := os.ReadFile(ixPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacy, data[12:], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err = Load(legacy)
-		expect(t, err, "rebuild with wwt-index")
+		expect(t, loadBytes(t, "legacy.gob", stData[12:]), "rebuild with wwt-index")
 	})
 	t.Run("newer gob version", func(t *testing.T) {
-		data, err := os.ReadFile(ixPath)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := append([]byte(nil), stData...)
 		data[8] = 42
-		newer := filepath.Join(dir, "newer.gob")
-		if err := os.WriteFile(newer, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err = Load(newer)
-		expect(t, err, "format version 42")
+		expect(t, loadBytes(t, "newer.gob", data), "format version 42")
 	})
 	t.Run("truncated", func(t *testing.T) {
-		short := filepath.Join(dir, "short.gob")
-		if err := os.WriteFile(short, []byte("WWT"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Load(short)
-		expect(t, err, "too short")
+		expect(t, loadBytes(t, "short.gob", []byte("WWT")), "too short")
 	})
 }
 

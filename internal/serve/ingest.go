@@ -61,7 +61,9 @@ type ingestDTO struct {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
 	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		s.ingestErrs.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorDTO{Error: "bad request body: " + err.Error()})
 		return

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -149,21 +150,24 @@ func TestIngestCSV(t *testing.T) {
 	}
 }
 
-// TestIngestBadRequests: malformed bodies and empty batches are rejected
-// without touching the index.
+// TestIngestBadRequests: malformed bodies, unknown fields and empty
+// batches are rejected, counted as ingest errors, and leave the index
+// untouched.
 func TestIngestBadRequests(t *testing.T) {
 	le := liveEngine(t)
 	ts := httptest.NewServer(New(le, Config{}))
 	defer ts.Close()
 
-	for _, body := range []string{
+	bodies := []string{
 		`not json`,
 		`{}`, // neither html nor csv
-		`{"html": "<table><tr><td>a</td></tr></table>"}`,    // html without url
-		`{"csv": [{"data": "A,B\n1,2\n"}]}`,                 // csv without id
-		`{"csv": [{"id": "x", "data": "A,B\n"}]}`,           // header only
-		`{"html": "<p>tableless</p>", "url": "http://x/y"}`, // nothing extracted
-	} {
+		`{"html": "<table><tr><td>a</td></tr></table>"}`,      // html without url
+		`{"csv": [{"data": "A,B\n1,2\n"}]}`,                   // csv without id
+		`{"csv": [{"id": "x", "data": "A,B\n"}]}`,             // header only
+		`{"html": "<p>tableless</p>", "url": "http://x/y"}`,   // nothing extracted
+		`{"csv":[{"id":"t1","data":"a,b\n1,2","titel":"T"}]}`, // misspelt field
+	}
+	for _, body := range bodies {
 		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -175,5 +179,12 @@ func TestIngestBadRequests(t *testing.T) {
 	}
 	if info := le.Info(); info.Generation != 0 || info.Segments != 1 {
 		t.Fatalf("bad requests moved the index: %+v", info)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met, want := readAll(t, mresp), fmt.Sprintf("wwt_ingest_errors_total %d\n", len(bodies)); !strings.Contains(met, want) {
+		t.Fatalf("metrics missing %q:\n%s", want, met)
 	}
 }

@@ -99,9 +99,11 @@ type LiveInfo struct {
 }
 
 // OpenLive opens dir — a flat index directory, with or without a
-// committed manifest — for live serving. A directory without a flat
-// index fails with an error wrapping fs.ErrNotExist, so callers can fall
-// back to the gob path. opts may be nil for DefaultOptions.
+// committed manifest — for live serving. Opening writes nothing: a
+// directory that is only queried and closed is left as it was. A
+// directory without a flat index fails with an error wrapping
+// fs.ErrNotExist that names wwt-index. opts may be nil for
+// DefaultOptions.
 func OpenLive(dir string, opts *Options) (*LiveEngine, error) {
 	o := DefaultOptions()
 	if opts != nil {
@@ -357,11 +359,10 @@ func (le *LiveEngine) publishLocked(added []*wtable.Table, migrate bool) error {
 // finds a full tier. The merge re-checks under the lock, so spurious
 // kicks are cheap.
 func (le *LiveEngine) maybeMergeLocked() {
-	names, docs := le.mergeableLocked()
+	_, docs := le.mergeableLocked()
 	if index.PlanMerge(docs, le.policy) == nil {
 		return
 	}
-	_ = names
 	le.merges.Add(1)
 	go func() {
 		defer le.merges.Done()

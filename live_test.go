@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,11 +61,77 @@ func hasRow(res *wwt.Result, cell0 string) bool {
 	return false
 }
 
-// TestOpenLiveFallback: a directory without a flat index reports
-// fs.ErrNotExist so the daemon can fall back to the gob path.
+// dirContents maps every file under dir (relative path) to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestOpenLiveFallback: a directory without a flat index — empty, or
+// holding only gob files — fails with fs.ErrNotExist naming wwt-index;
+// and opening, querying and closing a manifest-less flat directory (what
+// the wwt CLI does) leaves it exactly as it was.
 func TestOpenLiveFallback(t *testing.T) {
-	if _, err := wwt.OpenLive(t.TempDir(), nil); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("OpenLive on empty dir: %v, want fs.ErrNotExist", err)
+	gobOnly := t.TempDir()
+	eng, err := wwt.NewEngine(smallCorpus(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Store.Save(filepath.Join(gobOnly, index.StoreFileName)); err != nil {
+		t.Fatal(err)
+	}
+	// An index snapshot file ("WWTIXG01" header) is not an index OpenLive reads.
+	if err := os.WriteFile(filepath.Join(gobOnly, "ix.gob"), []byte("WWTIXG01\x01\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, dir := range map[string]string{"empty": t.TempDir(), "gob only": gobOnly} {
+		_, err := wwt.OpenLive(dir, nil)
+		if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "wwt-index") {
+			t.Fatalf("OpenLive on %s dir: %v, want fs.ErrNotExist naming wwt-index", name, err)
+		}
+	}
+
+	dir := liveDir(t)
+	before := dirContents(t, dir)
+	le, err := wwt.OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := le.Answer(wwt.Query{Columns: []string{"country", "currency"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answer.Rows) == 0 {
+		t.Fatal("read-only open answered no rows")
+	}
+	res.Release()
+	if err := le.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := dirContents(t, dir)
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("open/answer/close changed the directory: %d file(s) before, %d after", len(before), len(after))
+	}
+	for _, name := range []string{index.ManifestFileName, index.SegmentsDirName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s exists after a read-only open (stat err %v)", name, err)
+		}
 	}
 }
 

@@ -256,9 +256,8 @@ func NewEngine(tables []*wtable.Table, opts *Options) (*Engine, error) {
 	return NewEngineFrom(ix, st, &o), nil
 }
 
-// NewEngineFrom wraps an existing index and store (e.g. loaded from disk),
-// freezing the index into its flat search form. The index must not be
-// mutated afterwards.
+// NewEngineFrom wraps an existing index and store, freezing the index
+// into its flat search form. The index must not be mutated afterwards.
 func NewEngineFrom(ix *index.Index, st *index.Store, opts *Options) *Engine {
 	o := DefaultOptions()
 	if opts != nil {

@@ -1,13 +1,11 @@
 package wwt_test
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"wwt"
 	"wwt/internal/extract"
-	"wwt/internal/index"
 	"wwt/internal/inference"
 	"wwt/internal/wtable"
 )
@@ -163,44 +161,6 @@ func TestEngineSecondProbeToggle(t *testing.T) {
 	}
 	if res.Timings.Probe2 != 0 {
 		t.Error("probe2 timing recorded despite being disabled")
-	}
-}
-
-func TestEnginePersistenceRoundTrip(t *testing.T) {
-	tables := smallCorpus(t)
-	eng, err := wwt.NewEngine(tables, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := eng.Index.Save(filepath.Join(dir, "ix.gob")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Store.Save(filepath.Join(dir, "st.gob")); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := index.Load(filepath.Join(dir, "ix.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := index.LoadStore(filepath.Join(dir, "st.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := wwt.NewEngineFrom(ix, st, nil)
-	a, err := eng.Answer(wwt.Query{Columns: []string{"country", "currency"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Release()
-	b, err := eng2.Answer(wwt.Query{Columns: []string{"country", "currency"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Release()
-	if len(a.Answer.Rows) != len(b.Answer.Rows) {
-		t.Errorf("answers differ after persistence round trip: %d vs %d rows",
-			len(a.Answer.Rows), len(b.Answer.Rows))
 	}
 }
 
